@@ -27,6 +27,7 @@ from .generators import (
     ArithmeticIndices,
     GeneratorSpec,
     WindowConfig,
+    _scalars_at,
     beta_stream,
     export_stream_csv,
 )
@@ -36,7 +37,6 @@ from .stochastic import (
     _pmap,
     c_of_m_scan,
     default_bit_source,
-    gamma_index,
     lemma3_check,
     wcud_check,
 )
@@ -258,22 +258,21 @@ def _sample_scan_seed(cfg: RunConfig, spec: GeneratorSpec):
 def cmd_generate(cfg: RunConfig) -> int:
     spec = cfg.spec()
     seed = SeedSampler(cfg.master_rng_seed, cfg.seed_bits).sample(spec.seed_interval())
-    stream = beta_stream(spec, seed, cfg.n_max)
     path = _report_path(cfg)
     if path and cfg.output_format == "csv":
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        export_stream_csv(path, stream)
-        print(f"wrote {len(stream)} samples to {path}")
+        export_stream_csv(path, beta_stream(spec, seed, cfg.n_max))
+        print(f"wrote {cfg.n_max} samples to {path}")
         return 0
-    values = [s.as_float() for s in stream]
+    values = _scalars_at(spec, seed, range(1, cfg.n_max + 1)).tolist()
     payload = {
         "seed": str(seed),
         "values": values,
-        "exact": all(s.exact for s in stream),
+        "exact": spec.family != "koksma",
     }
     written = _write_report(cfg, payload)
     if written:
-        print(f"wrote {len(stream)} samples to {written}")
+        print(f"wrote {cfg.n_max} samples to {written}")
     else:
         for k, v in enumerate(values, start=1):
             print(f"{k},{v!r}")
@@ -309,8 +308,7 @@ def cmd_weyl(cfg: RunConfig) -> int:
 
 def _star_job(job):
     spec, cps, seed = job
-    stream = beta_stream(spec, seed, cps[-1])
-    values = np.array([s.as_float() for s in stream])
+    values = _scalars_at(spec, seed, range(1, cps[-1] + 1))
     return [star_discrepancy_1d(values[:n]).value for n in cps]
 
 
@@ -429,12 +427,9 @@ def cmd_degenerate(cfg: RunConfig) -> int:
 
 
 def cmd_gamma(cfg: RunConfig) -> int:
-    table = [
-        [gamma_index(i, j) for j in range(1, cfg.bits + 1)]
-        for i in range(1, cfg.count + 1)
-    ]
-    source = default_bit_source(cfg.master_rng_seed, cfg.seed_bits)
-    uniforms = GammaStream(source, cfg.bits).uniforms(cfg.count)
+    gamma = GammaStream(default_bit_source(cfg.master_rng_seed, cfg.seed_bits), cfg.bits)
+    uniforms = gamma.uniforms(cfg.count)
+    table = gamma.index_table(cfg.count)
     payload = {
         "indices": table,
         "uniforms": [float(u) for u in uniforms],

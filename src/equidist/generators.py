@@ -14,7 +14,9 @@ an offset o is accepted).
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -217,24 +219,21 @@ def unit_float(numerator: int, denominator: int) -> float:
 # -- scalar streams ------------------------------------------------------
 
 
-def _linear_residues_at(spec: GeneratorSpec, seed: RationalSeed, indices) -> list[int]:
-    """Exact residues c_k * p mod q at the given generator indices."""
+def _residues_at(spec: GeneratorSpec, seed: RationalSeed, indices: list[int]) -> list[int]:
+    """Exact residues c_k * p mod q at generator indices, in the caller's order.
+
+    The recurrence families walk the sorted distinct indices once and
+    carry the recurrence across every gap: factorial multiplies through
+    the skipped k, multiplicative multiplies by base^gap mod q.  The
+    other families are direct: k * p for weyl p = 1, one modular power
+    per index otherwise.
+    """
     q, p = seed.denominator, seed.numerator
     fam = spec.family
-    if fam == "factorial":
-        want = set(indices)
-        top = max(want, default=0)
-        values = {}
-        acc = p % q
-        for k in range(1, top + 1):
-            acc = acc * k % q
-            if k in want:
-                values[k] = acc
-        return [values[k] for k in indices]
+    if fam == "weyl_power" and spec.power == 1:
+        return [k * p % q for k in indices]
     if fam == "weyl_power":
         return [pow(k, spec.power, q) * p % q for k in indices]
-    if fam == "multiplicative":
-        return [pow(spec.base, k, q) * p % q for k in indices]
     if fam == "self_power":
         return [pow(k, k, q) * p % q for k in indices]
     if fam == "linear_integer":
@@ -245,7 +244,35 @@ def _linear_residues_at(spec: GeneratorSpec, seed: RationalSeed, indices) -> lis
                 raise ValueError(f"coefficient at index {k} must be positive, got {c}")
             out.append(c % q * p % q)
         return out
-    raise ValueError(f"{fam} has no exact residue path")
+    if fam not in ("factorial", "multiplicative"):
+        raise ValueError(f"{fam} has no exact residue path")
+    walk = indices if _ascending(indices) else sorted(set(indices))
+    out = []
+    acc, k = p % q, 0
+    if fam == "factorial":
+        for target in walk:
+            while k < target:
+                k += 1
+                acc = acc * k % q
+            out.append(acc)
+    else:
+        gap = step = None
+        for target in walk:
+            if target - k != gap:
+                gap = target - k
+                step = pow(spec.base, gap, q)
+            acc = acc * step % q
+            k = target
+            out.append(acc)
+    if walk is indices:
+        return out
+    at = dict(zip(walk, out))
+    return [at[k] for k in indices]
+
+
+def _ascending(values: list) -> bool:
+    """Strictly increasing, so already sorted and free of repeats."""
+    return all(map(operator.lt, values, itertools.islice(values, 1, None)))
 
 
 def residue_stream(
@@ -253,52 +280,33 @@ def residue_stream(
 ) -> tuple[list[int], int]:
     """Exact residues of the first `count` outputs plus the denominator.
 
-    Consecutive indices use one-multiply recurrences (factorial and
-    multiplicative) or one modular power per index; a permutation wrapper
-    evaluates the inner family at the rewired indices.
+    The residues are `_residues_at` the stream's generator indices, so a
+    permutation wrapper evaluates the inner family at the rewired indices.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     if spec.family == "koksma":
         raise ValueError("koksma has no exact residue path; use beta_stream")
     _check_seed(spec, seed)
-    indices = stream_indices(spec, count)
-    q, p = seed.denominator, seed.numerator
-    if spec.permutation is None:
-        fam = spec.family
-        if fam == "factorial":
-            out = []
-            acc = p % q
-            for k in range(1, count + 1):
-                acc = acc * k % q
-                out.append(acc)
-            return out, q
-        if fam == "multiplicative":
-            out = []
-            acc = p % q
-            for _ in range(count):
-                acc = acc * spec.base % q
-                out.append(acc)
-            return out, q
-        if fam == "weyl_power" and spec.power == 1:
-            out = []
-            acc = 0
-            step = p % q
-            for _ in range(count):
-                acc = (acc + step) % q
-                out.append(acc)
-            return out, q
-    return _linear_residues_at(spec, seed, indices), q
+    return _residues_at(spec, seed, stream_indices(spec, count)), seed.denominator
 
 
 def stream_indices(spec: GeneratorSpec, count: int) -> list[int]:
     """Generator indices of the first `count` outputs (permutation applied)."""
+    return _indices_at(spec, list(range(1, count + 1)))
+
+
+def _indices_at(spec: GeneratorSpec, positions: list[int]) -> list[int]:
+    """Generator indices at 1-based output positions (permutation applied).
+
+    Without a permutation the indices are the positions, same list.
+    """
     if spec.permutation is None:
-        return list(range(1, count + 1))
-    indices = [_descriptor_at(spec.permutation, i) for i in range(1, count + 1)]
+        return positions
+    indices = [_descriptor_at(spec.permutation, i) for i in positions]
     if any(a < 1 for a in indices):
         raise ValueError("permutation indices must be positive")
-    if len(set(indices)) != len(indices):
+    if len(set(indices)) != len(set(positions)):
         raise ValueError("permutation indices must be pairwise distinct")
     return indices
 
@@ -327,14 +335,13 @@ def beta_stream(
     if count < 0:
         raise ValueError("count must be nonnegative")
     _check_seed(spec, seed)
+    indices = stream_indices(spec, count)
     if spec.family != "koksma":
-        residues, q = residue_stream(spec, seed, count)
-        indices = stream_indices(spec, count)
+        q = seed.denominator
         return [
             UnitSample(k=k, residue=r, denominator=q)
-            for k, r in zip(indices, residues)
+            for k, r in zip(indices, _residues_at(spec, seed, indices))
         ]
-    indices = stream_indices(spec, count)
     top = max(indices, default=0)
     kwargs = {}
     if max_power_steps is not None:
@@ -351,32 +358,6 @@ def beta_stream(
 
 
 # -- window constructions ------------------------------------------------
-
-
-def window_vectors(
-    stream, cfg: WindowConfig, count: int | None = None
-) -> list[tuple]:
-    """d-dimensional points from one scalar stream by shifted windows.
-
-    Point k (1-based) collects stream elements (k-1)*h + o + 1 .. + d.
-    With h >= d the windows are index-disjoint; h = 1 is the overlapping
-    sliding construction.
-    """
-    if cfg.construction != "sliding_bc":
-        raise ValueError("window_vectors applies to the sliding_bc construction")
-    stream = list(stream)
-    room = len(stream) - cfg.o - cfg.d
-    available = room // cfg.h + 1 if room >= 0 else 0
-    if count is None:
-        count = available
-    elif count > available:
-        raise StreamLengthError(
-            f"stream of {len(stream)} supports {available} windows, {count} requested"
-        )
-    return [
-        tuple(stream[(k - 1) * cfg.h + cfg.o : (k - 1) * cfg.h + cfg.o + cfg.d])
-        for k in range(1, count + 1)
-    ]
 
 
 def interleaved_vectors(
@@ -402,26 +383,37 @@ def interleaved_vectors(
         raise ValueError("interleaving a permuted stream is not defined")
     for seed in seeds:
         _check_seed(spec, seed)
-    columns = []
-    for j, seed in enumerate(seeds, start=1):
-        indices = [(k - 1) * d + j for k in range(1, count + 1)]
-        if spec.family == "koksma":
-            column = beta_stream(spec.permuted(tuple(indices)), seed, count)
-        else:
-            residues = _linear_residues_at(spec, seed, indices)
-            column = [
-                UnitSample(k=k, residue=r, denominator=seed.denominator)
-                for k, r in zip(indices, residues)
-            ]
-        columns.append(column)
-    return [tuple(col[i] for col in columns) for i in range(count)]
+    columns = [
+        beta_stream(spec.permuted(range(j, d * count + 1, d)), seed, count)
+        for j, seed in enumerate(seeds, start=1)
+    ]
+    return list(zip(*columns))
 
 
 # -- float consumption ---------------------------------------------------
 
 
 def residues_to_floats(residues, denominator: int) -> np.ndarray:
-    return np.array([unit_float(r, denominator) for r in residues], dtype=float)
+    # streamed into the array, with no list of Python floats in between
+    return np.fromiter((unit_float(r, denominator) for r in residues), dtype=float)
+
+
+def _scalars_at(
+    spec: GeneratorSpec, seed: RationalSeed, positions, frac_bits: int = 64
+) -> np.ndarray:
+    """Float samples at 1-based stream positions, in the caller's order.
+
+    The one place samples cross into floats, one rounding each: exact
+    residues through `residues_to_floats`, koksma's fixed-point samples
+    through `stream_floats`.  Positions may repeat and come in any order.
+    """
+    _check_seed(spec, seed)
+    indices = _indices_at(spec, list(positions))
+    if spec.family != "koksma":
+        return residues_to_floats(_residues_at(spec, seed, indices), seed.denominator)
+    walk = sorted(set(indices))
+    stream = beta_stream(spec.permuted(walk), seed, len(walk), frac_bits=frac_bits)
+    return stream_floats(stream)[np.searchsorted(walk, indices)]
 
 
 def stream_floats(stream) -> np.ndarray:

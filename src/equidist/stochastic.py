@@ -25,14 +25,15 @@ from fractions import Fraction
 import numpy as np
 
 from .arithmetic import RationalSeed, SeedSampler, sample_seed
-from .generators import (
-    GeneratorSpec,
-    WindowConfig,
-    _linear_residues_at,
-    beta_stream,
-    unit_float,
+from .generators import GeneratorSpec, WindowConfig, _scalars_at
+from .weyl import (
+    MultiIndex,
+    _float_phases,
+    _unit_phasors,
+    as_multi_index,
+    checkpoint_grid,
+    scan_points,
 )
-from .weyl import MultiIndex, as_multi_index, checkpoint_grid, scan_points
 
 DEFAULT_MC_SEEDS = 256
 DEFAULT_MC_BITS = 256
@@ -131,39 +132,22 @@ def c_of_m_scan(spec: GeneratorSpec, m, max_lag: int = 48, probe: int | None = N
 # -- per-seed evaluation helpers --------------------------------------------
 
 
-def _scalar_floats_at(spec: GeneratorSpec, seed: RationalSeed, indices) -> dict[int, float]:
-    """Float scalar samples at an arbitrary index set (one rounding each)."""
-    wanted = sorted(set(indices))
-    if spec.family == "koksma":
-        top = wanted[-1] if wanted else 0
-        stream = beta_stream(spec, seed, top)
-        return {k: stream[k - 1].as_float() for k in wanted}
-    residues = _linear_residues_at(spec, seed, wanted)
-    q = seed.denominator
-    return {k: unit_float(r, q) for k, r in zip(wanted, residues)}
+def _phase_terms(pts: np.ndarray, m: MultiIndex) -> np.ndarray:
+    """Y = e(m . x) for the rows of a float window matrix."""
+    re, im = _unit_phasors(_float_phases(pts, m))
+    return re + 1j * im
 
 
 def _window_terms_at(spec, seed, cfg: WindowConfig, m: MultiIndex, ks) -> np.ndarray:
     """Y_k = e(m . window_k) for the requested window indices."""
-    needed = []
-    for k in ks:
-        base = (k - 1) * cfg.h + cfg.o
-        needed.extend(base + j for j in range(1, cfg.d + 1))
-    floats = _scalar_floats_at(spec, seed, needed)
-    out = np.empty(len(ks), dtype=complex)
-    for i, k in enumerate(ks):
-        base = (k - 1) * cfg.h + cfg.o
-        phase = 0.0
-        for j, c in enumerate(m.components, start=1):
-            phase += c * floats[base + j]
-        out[i] = np.exp(2j * np.pi * (phase % 1.0))
-    return out
+    starts = (np.asarray(ks, dtype=np.int64) - 1) * cfg.h + cfg.o
+    positions = starts[:, None] + np.arange(1, cfg.d + 1)
+    values = _scalars_at(spec, seed, positions.ravel().tolist())
+    return _phase_terms(values.reshape(positions.shape), m)
 
 
 def _term_prefix(spec, seed, cfg, m: MultiIndex, count: int) -> np.ndarray:
-    pts = scan_points(spec, seed, cfg, count)
-    phases = np.mod(pts @ np.array(m.components, dtype=float), 1.0)
-    return np.exp(2j * np.pi * phases)
+    return _phase_terms(scan_points(spec, seed, cfg, count), m)
 
 
 def _draw_seeds(spec: GeneratorSpec, n_seeds: int, master_seed: int, bit_width: int):
@@ -273,11 +257,17 @@ class SllnDiagnostics:
 
 
 def _sum_stats_job(job):
+    """|S_n|^2 for n = 1..n_max and |S_n| at the checkpoints, one seed."""
     spec, cfg, m, n_max, cps, seed = job
-    terms = _term_prefix(spec, seed, cfg, m, n_max)
-    prefix = np.cumsum(terms)
-    abs_at = np.abs(prefix[np.array(cps) - 1])
-    return np.abs(prefix) ** 2, abs_at
+    prefix = np.cumsum(_term_prefix(spec, seed, cfg, m, n_max))
+    return np.abs(prefix) ** 2, np.abs(prefix[np.array(cps) - 1])
+
+
+def _abs_sums_job(job):
+    """|S_n| at the checkpoints only, one seed."""
+    spec, cfg, m, cps, seed = job
+    prefix = np.cumsum(_term_prefix(spec, seed, cfg, m, cps[-1]))
+    return np.abs(prefix[np.array(cps) - 1])
 
 
 def del_criterion(
@@ -378,11 +368,9 @@ def wcud_check(
         cps = [int(n) for n in checkpoints]
         if not cps or any(b <= a for a, b in zip(cps, cps[1:])) or cps[0] < 1:
             raise ValueError("checkpoints must be strictly increasing and positive")
-    n_max = cps[-1]
     seeds = _draw_seeds(spec, n_seeds, master_seed, bit_width)
-    jobs = [(spec, cfg, m, n_max, cps, s) for s in seeds]
-    rows = [abs_at / np.array(cps, dtype=float) for _, abs_at in _pmap(_sum_stats_job, jobs, workers)]
-    mat = np.vstack(rows)
+    jobs = [(spec, cfg, m, cps, s) for s in seeds]
+    mat = np.vstack(_pmap(_abs_sums_job, jobs, workers)) / np.array(cps, dtype=float)
     mean = mat.mean(axis=0)
     stderr = (
         mat.std(axis=0, ddof=1) / math.sqrt(n_seeds) if n_seeds > 1 else np.zeros_like(mean)
@@ -619,14 +607,13 @@ class SeedBitSource:
     def bits(self, count: int) -> list[int]:
         if count > self.max_bits:
             raise ValueError(f"refusing {count} bits (cap {self.max_bits})")
-        q = self.seed.denominator
-        r = self.seed.numerator
-        out = []
-        for _ in range(count):
-            r <<= 1
-            out.append(r // q)
-            r %= q
-        return out
+        if count < 1:
+            return []
+        # the first `count` binary digits of p/q < 1, as one integer below 2^count
+        digits = (self.seed.numerator << count) // self.seed.denominator
+        nbytes = (count + 7) // 8
+        packed = np.frombuffer(digits.to_bytes(nbytes, "big"), dtype=np.uint8)
+        return np.unpackbits(packed)[8 * nbytes - count :].tolist()
 
 
 class BytesBitSource:
@@ -672,13 +659,13 @@ class GammaStream:
         if count == 0:
             return np.zeros(0)
         needed = gamma_index(count, self.bits_per_uniform)
-        bits = self.bit_source.bits(needed)
+        bits = np.array(self.bit_source.bits(needed), dtype=np.uint8)
+        table = np.array(self.index_table(count)) - 1
+        # digit by digit over all uniforms at once: every uniform sees the
+        # same sequence of float additions as a per-uniform loop would
         out = np.zeros(count)
-        for i in range(1, count + 1):
-            acc = 0.0
-            for j in range(1, self.bits_per_uniform + 1):
-                acc += bits[gamma_index(i, j) - 1] * 0.5**j
-            out[i - 1] = acc
+        for j in range(self.bits_per_uniform):
+            out += bits[table[:, j]] * 0.5 ** (j + 1)
         return out
 
 

@@ -6,11 +6,16 @@ growing checkpoint grid are the package's primary evidence object.  A
 trajectory pinned at magnitude 1 certifies the opposite: the phases
 m . beta_k are constant, and m is a degenerate direction for the family.
 
-Numerical contract: for exact samples the phase m . beta_k is reduced
-mod 1 in integer/rational arithmetic and rounded to float once, term
-accumulation is compensated, and the only other lossy step is the cosine
-and sine themselves.  Magnitudes therefore never exceed 1 by more than a
-few ulps, independent of N.
+Numerical contract.  Exact points (UnitSample vectors or rational tuples)
+have the phase m . beta_k reduced mod 1 in integer/rational arithmetic
+and rounded to float once.  Float points, which is what `criterion_scan`
+and the stochastic module consume, carry one rounding per scalar sample
+(made in `generators._scalars_at`); their phases are reduced once as
+m . x mod 1 in double precision (`_float_phases`), which puts each phase
+within a small multiple of sum_j |m_j| * 2^-53 of the exact one.  Both
+paths then share one e(phase) kernel (`_unit_phasors`) and compensated
+accumulation, so the cosine and sine are the only other lossy step.
+Magnitudes never exceed 1 by more than a few ulps, independent of N.
 """
 
 from __future__ import annotations
@@ -27,12 +32,8 @@ from .generators import (
     GeneratorSpec,
     UnitSample,
     WindowConfig,
-    interleaved_vectors,
-    residue_stream,
-    residues_to_floats,
-    stream_floats,
+    _scalars_at,
     unit_float,
-    beta_stream,
     windows_array,
 )
 
@@ -174,15 +175,32 @@ def _checkpoints_for(n: int, checkpoints) -> tuple[int, ...]:
     return cps
 
 
+def _float_phases(pts: np.ndarray, m: MultiIndex) -> np.ndarray:
+    """Phases m . x mod 1 of the rows of a float (N, d) point matrix.
+
+    The dot product is summed left to right from the rounded products
+    m_j * x_j, so the bits do not depend on the memory layout of `pts`
+    (a BLAS matrix-vector product may fuse or reorder the terms).
+    """
+    acc = 0.0
+    for j, c in enumerate(m.components):
+        acc = acc + c * pts[:, j]
+    return np.mod(acc, 1.0)
+
+
+def _unit_phasors(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of e(phase) = exp(2 pi i phase)."""
+    angles = 2.0 * np.pi * phases
+    return np.cos(angles), np.sin(angles)
+
+
 def _series_from_phases(m, phases: np.ndarray, cps) -> WeylSeries:
     """Compensated prefix means of e(phase) at the checkpoints.
 
     Pairwise segment sums combined by Neumaier accumulation keep the error
     of every W_N at O(eps) independent of N.
     """
-    angles = 2.0 * np.pi * phases
-    re = np.cos(angles)
-    im = np.sin(angles)
+    re, im = _unit_phasors(phases)
     bounds = [0, *cps]
     seg_re = [float(np.sum(re[a:b])) for a, b in zip(bounds, bounds[1:])]
     seg_im = [float(np.sum(im[a:b])) for a, b in zip(bounds, bounds[1:])]
@@ -235,8 +253,7 @@ def weyl_sum(points, m, checkpoints=None) -> WeylSeries:
         if pts.ndim != 2 or pts.shape[1] != m.d:
             raise ValueError("expected a (N, d) float array")
         cps = _checkpoints_for(pts.shape[0], checkpoints)
-        phases = np.mod(pts @ np.array(m.components, dtype=float), 1.0)
-        return _series_from_phases(m, phases, cps)
+        return _series_from_phases(m, _float_phases(pts, m), cps)
     points = list(points)
     if points and isinstance(points[0], (tuple, list)) and points[0] and isinstance(points[0][0], float):
         return weyl_sum(np.array(points, dtype=float), m, checkpoints)
@@ -276,25 +293,26 @@ def scan_points(
 ) -> np.ndarray:
     """Float window matrix (count, d) for a family/seed/window triple.
 
-    This is where exact residues cross into floats (one rounding per
-    scalar sample); every scan consumes this snapshot.
+    The scalar samples cross into floats in `_scalars_at`, one rounding
+    each.  sliding_bc windows one seed's stream with `windows_array`;
+    interleaved_a stacks one column per seed, column j holding the
+    samples at indices j, j + d, j + 2d, ...
     """
     if cfg.construction == "interleaved_a":
         seeds = list(seed) if isinstance(seed, (list, tuple)) else [seed]
         if len(seeds) != cfg.d:
             raise ValueError(f"interleaved_a needs {cfg.d} seeds, got {len(seeds)}")
-        vectors = interleaved_vectors(spec, seeds, count)
-        return np.array(
-            [[s.as_float() for s in vec] for vec in vectors], dtype=float
-        )
+        if spec.permutation is not None:
+            raise ValueError("interleaving a permuted stream is not defined")
+        columns = [
+            _scalars_at(spec, s, range(j, cfg.d * count + 1, cfg.d), frac_bits=frac_bits)
+            for j, s in enumerate(seeds, start=1)
+        ]
+        return np.column_stack(columns)
     if isinstance(seed, (list, tuple)):
         raise ValueError("sliding_bc takes a single seed")
-    n_scalars = cfg.stream_length(count)
-    if spec.family == "koksma":
-        values = stream_floats(beta_stream(spec, seed, n_scalars, frac_bits=frac_bits))
-    else:
-        residues, q = residue_stream(spec, seed, n_scalars)
-        values = residues_to_floats(residues, q)
+    positions = range(1, cfg.stream_length(count) + 1)
+    values = _scalars_at(spec, seed, positions, frac_bits=frac_bits)
     return windows_array(values, cfg, count)
 
 

@@ -127,12 +127,12 @@ class TestEtkBound:
 
     def test_dominates_oracle(self):
         scan = self._scan(d=2, n_max=32, radius=4)
-        from equidist.generators import beta_stream, window_vectors
+        from equidist.generators import beta_stream, stream_floats, windows_array
 
         seed = SeedSampler(4, bit_width=64).sample()
         cfg = WindowConfig(d=2, h=2)
         stream = beta_stream(GeneratorSpec.factorial(), seed, cfg.stream_length(32))
-        pts = [[s.value for s in w] for w in window_vectors(stream, cfg, 32)]
+        pts = windows_array(stream_floats(stream), cfg, 32)
         n = scan.checkpoints[-1]
         bound = etk_bound(scan, 4, n).value
         assert bound >= star_discrepancy_oracle(pts).value

@@ -1,6 +1,7 @@
 """Generator families, window constructions, and stream plumbing."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -19,10 +20,10 @@ from equidist.generators import (
     export_stream_csv,
     interleaved_vectors,
     read_index_file,
+    _residues_at,
     residue_stream,
     stream_floats,
     unit_float,
-    window_vectors,
     windows_array,
 )
 from equidist.discrepancy import star_discrepancy_1d
@@ -150,33 +151,25 @@ class TestUnitSample:
 
 class TestWindows:
     def test_disjoint_blocks(self):
-        s = list(range(1, 7))
+        s = np.arange(1, 7, dtype=float)
         cfg = WindowConfig(d=2, h=2)
-        assert window_vectors(s, cfg) == [(1, 2), (3, 4), (5, 6)]
+        assert windows_array(s, cfg).tolist() == [[1, 2], [3, 4], [5, 6]]
 
     def test_overlapping(self):
         cfg = WindowConfig(d=2, h=1)
-        assert window_vectors([1, 2, 3, 4], cfg) == [(1, 2), (2, 3), (3, 4)]
+        assert windows_array([1, 2, 3, 4], cfg).tolist() == [[1, 2], [2, 3], [3, 4]]
 
     def test_offset(self):
         cfg = WindowConfig(d=1, h=1, o=3)
-        assert window_vectors([1, 2, 3, 4, 5], cfg) == [(4,), (5,)]
+        assert windows_array([1, 2, 3, 4, 5], cfg).tolist() == [[4], [5]]
 
     def test_stream_too_short(self):
         with pytest.raises(StreamLengthError):
-            window_vectors([1, 2, 3], WindowConfig(d=2, h=2), count=2)
+            windows_array([1, 2, 3], WindowConfig(d=2, h=2), count=2)
 
     def test_stream_length_accounting(self):
         cfg = WindowConfig(d=3, h=2, o=1)
         assert cfg.stream_length(4) == 1 + 3 * 2 + 3
-
-    def test_windows_array_matches_window_vectors(self):
-        vals = np.arange(10, dtype=float) / 10
-        for cfg in (WindowConfig(d=2, h=2), WindowConfig(d=3, h=1, o=2)):
-            arr = windows_array(vals, cfg)
-            ref = window_vectors(list(vals), cfg)
-            assert arr.shape == (len(ref), cfg.d)
-            assert [tuple(row) for row in arr] == ref
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -265,14 +258,29 @@ class TestResidueStream:
     def test_fast_recurrences_match_direct(self, rng_seed):
         seed = SeedSampler(rng_seed, bit_width=32).sample()
         p, q = seed.numerator, seed.denominator
+        shuffled = list(range(1, 13))
+        random.Random(rng_seed).shuffle(shuffled)
+        layouts = (
+            list(range(1, 13)),  # consecutive
+            list(range(2, 40, 3)),  # stride d = 3, as one interleaved column
+            shuffled,  # permuted
+            [7, 3, 7, 1],  # unsorted, with a repeat
+        )
         for spec, c in (
             (GeneratorSpec.factorial(), math.factorial),
             (GeneratorSpec.multiplicative(3), lambda k: 3**k),
             (GeneratorSpec.weyl(1), lambda k: k),
+            (GeneratorSpec.weyl(3), lambda k: k**3),
+            (GeneratorSpec.self_power(), lambda k: k**k),
         ):
             res, got_q = residue_stream(spec, seed, 12)
             assert got_q == q
             assert res == [c(k) * p % q for k in range(1, 13)]
+            for indices in layouts:
+                want = [c(k) * p % q for k in indices]
+                assert _residues_at(spec, seed, indices) == want
+            res, _ = residue_stream(spec.permuted(shuffled), seed, 12)
+            assert res == [c(k) * p % q for k in shuffled]
 
     def test_floats_match_values(self):
         seed = SeedSampler(23, bit_width=64).sample()

@@ -342,6 +342,30 @@ class TestGammaIndex:
         assert block == set(range(1, n * (n + 1) // 2 + 1))
 
 
+class TestTermPaths:
+    @pytest.mark.parametrize("h", [1, 3])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GeneratorSpec.multiplicative(3),
+            GeneratorSpec.multiplicative(3).permuted(ArithmeticIndices(5, 2)),
+            GeneratorSpec.koksma(),
+        ],
+        ids=["multiplicative", "permuted", "koksma"],
+    )
+    def test_sparse_windows_match_prefix_bit_for_bit(self, spec, h):
+        from equidist.stochastic import _term_prefix, _window_terms_at
+        from equidist.weyl import MultiIndex
+
+        seed = SeedSampler(6, bit_width=64).sample(spec.seed_interval())
+        cfg = WindowConfig(d=3, h=h, o=1)
+        m = MultiIndex((3, -2, 3))
+        prefix = _term_prefix(spec, seed, cfg, m, 40)
+        ks = [40, 7, 1, 7, 23]
+        got = _window_terms_at(spec, seed, cfg, m, ks)
+        assert got.tolist() == [prefix[k - 1] for k in ks]
+
+
 class TestBitSources:
     def test_one_third_alternates(self):
         src = SeedBitSource(RationalSeed(1, 3, prime_denominator=True))
@@ -353,6 +377,16 @@ class TestBitSources:
         x = Fraction(seed.numerator, seed.denominator)
         want = [int(x * 2**j) % 2 for j in range(1, 65)]
         assert got == want
+
+    def test_matches_long_division(self):
+        seed = SeedSampler(22, bit_width=256).sample()
+        q, r = seed.denominator, seed.numerator
+        want = []
+        for _ in range(3000):
+            r <<= 1
+            want.append(r // q)
+            r %= q
+        assert SeedBitSource(seed).bits(3000) == want
 
     def test_rejects_seed_outside_unit_interval(self):
         with pytest.raises(ValueError):
@@ -395,6 +429,19 @@ class TestGammaStream:
         table = GammaStream(None, bits_per_uniform=7).index_table(5)
         flat = [idx for row in table for idx in row]
         assert len(flat) == len(set(flat))
+
+    @pytest.mark.parametrize("b", [1, 32, 60])
+    def test_matches_sequential_sum(self, b):
+        source = default_bit_source(9)
+        count = 40
+        bits = source.bits(gamma_index(count, b))
+        want = []
+        for i in range(1, count + 1):
+            acc = 0.0
+            for j in range(1, b + 1):
+                acc += bits[gamma_index(i, j) - 1] * 0.5**j
+            want.append(acc)
+        assert GammaStream(source, b).uniforms(count).tolist() == want
 
     def test_uniforms_lie_in_unit_interval(self):
         xs = gamma_stream(default_bit_source(9), 64)
