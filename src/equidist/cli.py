@@ -20,7 +20,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .arithmetic import SeedSampler
 from .discrepancy import star_discrepancy_1d
 from .errors import EquidistError
 from .generators import (
@@ -247,17 +246,13 @@ def _series_payload(scan) -> dict:
 # -- commands ----------------------------------------------------------------
 
 
-def _sample_scan_seed(cfg: RunConfig, spec: GeneratorSpec):
-    sampler = SeedSampler(cfg.master_rng_seed, cfg.seed_bits)
-    interval = spec.seed_interval()
-    if cfg.construction == "interleaved_a":
-        return [sampler.sample(interval) for _ in range(cfg.d)]
-    return sampler.sample(interval)
+def _draw(cfg: RunConfig, spec: GeneratorSpec, count: int) -> list:
+    return _draw_seeds(spec.seed_interval(), count, cfg.master_rng_seed, cfg.seed_bits)
 
 
 def cmd_generate(cfg: RunConfig) -> int:
     spec = cfg.spec()
-    seed = SeedSampler(cfg.master_rng_seed, cfg.seed_bits).sample(spec.seed_interval())
+    (seed,) = _draw(cfg, spec, 1)
     path = _report_path(cfg)
     if path and cfg.output_format == "csv":
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
@@ -281,7 +276,10 @@ def cmd_generate(cfg: RunConfig) -> int:
 
 def cmd_weyl(cfg: RunConfig) -> int:
     spec = cfg.spec()
-    seed = _sample_scan_seed(cfg, spec)
+    if cfg.construction == "interleaved_a":
+        seed = _draw(cfg, spec, cfg.d)
+    else:
+        (seed,) = _draw(cfg, spec, 1)
     scan = criterion_scan(spec, seed, cfg.window(), cfg.m_radius, cfg.n_max)
     flagged = scan.flagged(cfg.flag_threshold)
     verdict = "refuted" if flagged else "pass"
@@ -317,7 +315,7 @@ def cmd_discrepancy(cfg: RunConfig) -> int:
     if cfg.d != 1:
         raise ValueError("the discrepancy trend command is 1-D; use the library for d > 1")
     cps = checkpoint_grid(cfg.n_max)
-    seeds = _draw_seeds(spec, cfg.n_seeds, cfg.master_rng_seed, cfg.seed_bits)
+    seeds = _draw(cfg, spec, cfg.n_seeds)
     table = _pmap(_star_job, [(spec, cps, s) for s in seeds], cfg.resolved_workers())
     mat = np.array(table)  # (n_seeds, n_cps)
     med = np.median(mat, axis=0)

@@ -9,9 +9,12 @@ seed vanishes for every nonzero integer F.  That single fact powers the
 exact certificates here; everything else is estimated by averaging over a
 reproducible stream of sampled seeds and reported with a standard error.
 
-Determinism: seeds are drawn sequentially from the master rng up front
-and per-seed results are reduced in seed order, so estimates are
-bit-identical for any worker count.
+Every seed-averaged statistic runs on one engine (`_seed_rows`).  It
+rejects n_seeds < 2 and the interleaved_a construction (which takes d seeds
+per point), draws all seeds from the master rng up front, maps one row job
+per seed, and returns the rows in seed order.  Each estimate is then the
+column mean of those rows with standard error std(ddof=1) / sqrt(n_seeds)
+(`_mean_stderr`), so results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -25,7 +28,13 @@ from fractions import Fraction
 import numpy as np
 
 from .arithmetic import RationalSeed, SeedSampler, sample_seed
-from .generators import GeneratorSpec, WindowConfig, _scalars_at
+from .generators import (
+    GeneratorSpec,
+    WindowConfig,
+    _descriptor_at,
+    _indices_at,
+    _scalars_at,
+)
 from .weyl import (
     MultiIndex,
     _float_phases,
@@ -61,8 +70,6 @@ def _coefficient(spec: GeneratorSpec, k: int) -> int:
     if fam == "self_power":
         return k**k
     if fam == "linear_integer":
-        from .generators import _descriptor_at
-
         return _descriptor_at(spec.coefficients, k)
     raise ValueError(f"{fam} has no integer coefficient sequence")
 
@@ -72,16 +79,24 @@ def exact_frequency(spec: GeneratorSpec, k: int, l: int, m) -> int:
 
     Zero frequency means the pair moment is identically 1 over the seed;
     any nonzero value certifies exact decorrelation, E Y_k conj(Y_l) = 0.
+    Windows are consecutive (h = 1, o = 0) and read the generator indices
+    a spec's permutation puts at their stream positions.
     """
     if spec.family not in LINEAR_FAMILIES:
         raise ValueError("exact frequencies exist for integer-linear families only")
     if min(k, l) < 1:
         raise ValueError("indices start at 1")
     m = as_multi_index(m)
-    total = 0
-    for i, c in enumerate(m.components, start=1):
-        total += c * (_coefficient(spec, k + i - 1) - _coefficient(spec, l + i - 1))
-    return total
+    return _pair_frequency(spec, WindowConfig(d=m.d), m, k, l)
+
+
+def _pair_frequency(spec: GeneratorSpec, cfg: WindowConfig, m: MultiIndex, k: int, l: int) -> int:
+    """sum_i m_i (c_a - c_b) over the generator indices a, b of windows k, l."""
+    at_k, at_l = (_indices_at(spec, row) for row in _window_positions(cfg, [k, l]))
+    return sum(
+        c * (_coefficient(spec, a) - _coefficient(spec, b))
+        for c, a, b in zip(m.components, at_k, at_l)
+    )
 
 
 def exact_frequency_factorial(k: int, l: int, m) -> int:
@@ -129,7 +144,7 @@ def c_of_m_scan(spec: GeneratorSpec, m, max_lag: int = 48, probe: int | None = N
     )
 
 
-# -- per-seed evaluation helpers --------------------------------------------
+# -- the seed-averaging engine -------------------------------------------------
 
 
 def _phase_terms(pts: np.ndarray, m: MultiIndex) -> np.ndarray:
@@ -138,21 +153,50 @@ def _phase_terms(pts: np.ndarray, m: MultiIndex) -> np.ndarray:
     return re + 1j * im
 
 
+def _window_positions(cfg: WindowConfig, ks) -> list[list[int]]:
+    """Stream positions of each window k: (k-1)h+o+1 .. (k-1)h+o+d."""
+    return [[(k - 1) * cfg.h + cfg.o + j for j in range(1, cfg.d + 1)] for k in ks]
+
+
 def _window_terms_at(spec, seed, cfg: WindowConfig, m: MultiIndex, ks) -> np.ndarray:
     """Y_k = e(m . window_k) for the requested window indices."""
-    starts = (np.asarray(ks, dtype=np.int64) - 1) * cfg.h + cfg.o
-    positions = starts[:, None] + np.arange(1, cfg.d + 1)
-    values = _scalars_at(spec, seed, positions.ravel().tolist())
-    return _phase_terms(values.reshape(positions.shape), m)
+    positions = _window_positions(cfg, ks)
+    values = _scalars_at(spec, seed, [p for row in positions for p in row])
+    return _phase_terms(values.reshape(len(positions), cfg.d), m)
 
 
 def _term_prefix(spec, seed, cfg, m: MultiIndex, count: int) -> np.ndarray:
     return _phase_terms(scan_points(spec, seed, cfg, count), m)
 
 
-def _draw_seeds(spec: GeneratorSpec, n_seeds: int, master_seed: int, bit_width: int):
+def _window_row(job) -> np.ndarray:
+    """One seed's Y_k for each (k,) column and Y_k conj(Y_l) for each (k, l)."""
+    spec, cfg, m, columns, seed = job
+    ks = sorted({k for column in columns for k in column})
+    y = dict(zip(ks, _window_terms_at(spec, seed, cfg, m, ks)))
+    return np.array(
+        [y[c[0]] * np.conj(y[c[1]]) if len(c) == 2 else y[c[0]] for c in columns],
+        dtype=complex,
+    )
+
+
+def _prefix_row(job) -> np.ndarray:
+    """One seed's |S_n| at the requested increasing n."""
+    spec, cfg, m, ns, seed = job
+    prefix = np.cumsum(_term_prefix(spec, seed, cfg, m, ns[-1]))
+    return np.abs(prefix[np.asarray(ns) - 1])
+
+
+def _require_sliding(cfg: WindowConfig) -> None:
+    if cfg.construction != "sliding_bc":
+        raise ValueError(
+            "seed-averaged statistics window one seed's stream (sliding_bc); "
+            "interleaved_a takes d seeds per point"
+        )
+
+
+def _draw_seeds(interval, n_seeds: int, master_seed: int, bit_width: int):
     sampler = SeedSampler(master_seed, bit_width)
-    interval = spec.seed_interval()
     return [sample_seed(sampler, interval) for _ in range(n_seeds)]
 
 
@@ -162,6 +206,23 @@ def _pmap(fn, items, workers: int):
     with ProcessPoolExecutor(max_workers=workers) as ex:
         chunk = max(1, len(items) // (4 * workers))
         return list(ex.map(fn, items, chunksize=chunk))
+
+
+def _seed_rows(job, spec, cfg, m, arg, n_seeds, master_seed, bit_width, workers) -> list:
+    """job((spec, cfg, m, arg, seed)) for every drawn seed, in seed order."""
+    _require_sliding(cfg)
+    if n_seeds < 2:
+        raise ValueError("n_seeds must be at least 2 for a standard error")
+    seeds = _draw_seeds(spec.seed_interval(), n_seeds, master_seed, bit_width)
+    return _pmap(job, [(spec, cfg, m, arg, s) for s in seeds], workers)
+
+
+def _mean_stderr(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column means of a (seed, column) table and their std(ddof=1)/sqrt(n).
+
+    A complex column's stderr is the total sqrt((Var re + Var im) / n).
+    """
+    return table.mean(axis=0), table.std(axis=0, ddof=1) / math.sqrt(len(table))
 
 
 # -- Monte-Carlo moments -----------------------------------------------------
@@ -197,18 +258,6 @@ class MomentEstimate:
     n_seeds: int
 
 
-def _eval_target(job) -> complex | float:
-    spec, cfg, m, target, seed = job
-    if target.kind == "term_mean":
-        return complex(_window_terms_at(spec, seed, cfg, m, [target.k])[0])
-    if target.kind == "pair_moment":
-        yk, yl = _window_terms_at(spec, seed, cfg, m, [target.k, target.l])
-        return complex(yk * np.conj(yl))
-    terms = _term_prefix(spec, seed, cfg, m, target.n)
-    s = complex(np.sum(terms))
-    return abs(s) if target.kind == "abs_sum_mean" else abs(s) ** 2
-
-
 def mc_moment(
     spec: GeneratorSpec,
     cfg: WindowConfig,
@@ -225,20 +274,19 @@ def mc_moment(
     with Var_total summing both components, so |estimate| <= a few stderr
     is the natural consistency check against a zero mean.
     """
-    if n_seeds < 2:
-        raise ValueError("n_seeds must be at least 2 for a standard error")
     m = as_multi_index(m)
-    seeds = _draw_seeds(spec, n_seeds, master_seed, bit_width)
-    values = _pmap(_eval_target, [(spec, cfg, m, target, s) for s in seeds], workers)
-    if target.kind in ("term_mean", "pair_moment"):
-        arr = np.array(values, dtype=complex)
-        mean = complex(np.mean(arr))
-        var = float(np.sum(np.abs(arr - mean) ** 2)) / max(1, n_seeds - 1)
+    if target.kind == "term_mean":
+        job, arg = _window_row, [(target.k,)]
+    elif target.kind == "pair_moment":
+        job, arg = _window_row, [(target.k, target.l)]
     else:
-        arr = np.array(values, dtype=float)
-        mean = float(np.mean(arr))
-        var = float(np.var(arr, ddof=1)) if n_seeds > 1 else 0.0
-    return MomentEstimate(target, mean, math.sqrt(var / n_seeds), n_seeds)
+        job, arg = _prefix_row, [target.n]
+    rows = _seed_rows(job, spec, cfg, m, arg, n_seeds, master_seed, bit_width, workers)
+    table = np.vstack(rows)
+    if target.kind == "abs_sum_sq_mean":
+        table = table**2
+    mean, stderr = _mean_stderr(table)
+    return MomentEstimate(target, mean[0].item(), float(stderr[0]), n_seeds)
 
 
 # -- strong-law diagnostics --------------------------------------------------
@@ -254,20 +302,6 @@ class SllnDiagnostics:
     del_partial_sums: tuple[float, ...] | None
     verdicts: dict
     details: dict = field(default_factory=dict)
-
-
-def _sum_stats_job(job):
-    """|S_n|^2 for n = 1..n_max and |S_n| at the checkpoints, one seed."""
-    spec, cfg, m, n_max, cps, seed = job
-    prefix = np.cumsum(_term_prefix(spec, seed, cfg, m, n_max))
-    return np.abs(prefix) ** 2, np.abs(prefix[np.array(cps) - 1])
-
-
-def _abs_sums_job(job):
-    """|S_n| at the checkpoints only, one seed."""
-    spec, cfg, m, cps, seed = job
-    prefix = np.cumsum(_term_prefix(spec, seed, cfg, m, cps[-1]))
-    return np.abs(prefix[np.array(cps) - 1])
 
 
 def del_criterion(
@@ -292,20 +326,17 @@ def del_criterion(
     lands in the details: exponent near 1 is the orthogonal-family rate,
     near 0 the degenerate one.
     """
-    if n_seeds < 2:
-        raise ValueError("n_seeds must be at least 2 for a standard error")
     m = as_multi_index(m)
     cps = checkpoint_grid(n_max)
-    seeds = _draw_seeds(spec, n_seeds, master_seed, bit_width)
-    jobs = [(spec, cfg, m, n_max, cps, s) for s in seeds]
-    acc_sq = np.zeros(n_max)
-    acc_abs = np.zeros(len(cps))
-    acc_abs_sq = np.zeros(len(cps))
-    for sq, abs_at in _pmap(_sum_stats_job, jobs, workers):
-        acc_sq += sq
-        acc_abs += abs_at
-        acc_abs_sq += abs_at**2
-    est_sq = acc_sq / n_seeds  # E|S_n|^2 for n = 1..n_max
+    at_cps = np.array(cps) - 1
+    rows = _seed_rows(
+        _prefix_row, spec, cfg, m, range(1, n_max + 1), n_seeds, master_seed, bit_width, workers
+    )
+    # E|S_n|^2 for n = 1..n_max, row by row: stacking would copy every row
+    est_sq = np.zeros(n_max)
+    for row in rows:
+        est_sq += row**2
+    est_sq /= n_seeds
     n0 = cps[0]
     ns = np.arange(n0, n_max + 1, dtype=float)
     partial = np.cumsum(est_sq[n0 - 1 :] / ns**3)
@@ -321,11 +352,8 @@ def del_criterion(
     else:
         verdict = "inconclusive"
     cp_arr = np.array(cps, dtype=float)
-    mean_abs = acc_abs / n_seeds
-    var_abs = np.maximum(acc_abs_sq / n_seeds - mean_abs**2, 0.0)
-    stderr = np.sqrt(var_abs / max(1, n_seeds - 1))
-    sq_over_n2 = est_sq[np.array(cps) - 1] / cp_arr**2
-    slope, _ = np.polyfit(np.log(cp_arr), np.log(sq_over_n2), 1)
+    mean_abs, stderr = _mean_stderr(np.vstack([row[at_cps] for row in rows]))
+    slope, _ = np.polyfit(np.log(cp_arr), np.log(est_sq[at_cps] / cp_arr**2), 1)
     return SllnDiagnostics(
         checkpoints=tuple(cps),
         s_over_n=tuple(float(v) for v in mean_abs / cp_arr),
@@ -359,8 +387,6 @@ def wcud_check(
     5 stderr, so the mean is bounded away from zero beyond Monte-Carlo
     error.  Anything else is "inconclusive".
     """
-    if n_seeds < 2:
-        raise ValueError("n_seeds must be at least 2 for a standard error")
     m = as_multi_index(m)
     if isinstance(checkpoints, int):
         cps = checkpoint_grid(checkpoints)
@@ -368,13 +394,8 @@ def wcud_check(
         cps = [int(n) for n in checkpoints]
         if not cps or any(b <= a for a, b in zip(cps, cps[1:])) or cps[0] < 1:
             raise ValueError("checkpoints must be strictly increasing and positive")
-    seeds = _draw_seeds(spec, n_seeds, master_seed, bit_width)
-    jobs = [(spec, cfg, m, cps, s) for s in seeds]
-    mat = np.vstack(_pmap(_abs_sums_job, jobs, workers)) / np.array(cps, dtype=float)
-    mean = mat.mean(axis=0)
-    stderr = (
-        mat.std(axis=0, ddof=1) / math.sqrt(n_seeds) if n_seeds > 1 else np.zeros_like(mean)
-    )
+    rows = _seed_rows(_prefix_row, spec, cfg, m, cps, n_seeds, master_seed, bit_width, workers)
+    mean, stderr = _mean_stderr(np.vstack(rows) / np.array(cps, dtype=float))
     decreasing = all(
         mean[i + 1] <= mean[i] + 3.0 * (stderr[i] + stderr[i + 1])
         for i in range(len(cps) - 1)
@@ -398,28 +419,6 @@ def wcud_check(
 
 
 # -- covariance decay ---------------------------------------------------------
-
-
-def _pair_job(job):
-    spec, cfg, m, pairs, seed = job
-    ks = sorted({k for k, _ in pairs} | {l for _, l in pairs})
-    terms = _window_terms_at(spec, seed, cfg, m, ks)
-    y = dict(zip(ks, terms))
-    return np.array([y[k] * np.conj(y[l]) for k, l in pairs], dtype=complex)
-
-
-def _pair_moment_table(spec, cfg, m, pairs, n_seeds, master_seed, bit_width, workers):
-    seeds = _draw_seeds(spec, n_seeds, master_seed, bit_width)
-    jobs = [(spec, cfg, m, pairs, s) for s in seeds]
-    mat = np.vstack(_pmap(_pair_job, jobs, workers))  # (n_seeds, n_pairs)
-    sym = 2.0 * mat.real  # Y_k conj(Y_l) + its conjugate
-    mean = sym.mean(axis=0)
-    stderr = (
-        sym.std(axis=0, ddof=1) / math.sqrt(n_seeds)
-        if n_seeds > 1
-        else np.zeros_like(mean)
-    )
-    return mean, stderr
 
 
 @dataclass(frozen=True)
@@ -453,8 +452,6 @@ def lemma2_decay_fit(
     whose estimate drowns in Monte-Carlo noise (|mean| <= 3 stderr) are
     dropped; with fewer than two usable lags the fit is inconclusive.
     """
-    if n_seeds < 2:
-        raise ValueError("n_seeds must be at least 2 for a standard error")
     m = as_multi_index(m)
     lags = sorted(set(int(g) for g in lags))
     if not lags or lags[0] < 1:
@@ -467,9 +464,9 @@ def lemma2_decay_fit(
         pairs.append((k, k - g))
     if any(l < 1 for _, l in pairs):
         raise ValueError(f"pair_sum {pair_sum} too small for the largest lag")
-    mean, stderr = _pair_moment_table(
-        spec, cfg, m, pairs, n_seeds, master_seed, bit_width, workers
-    )
+    rows = _seed_rows(_window_row, spec, cfg, m, pairs, n_seeds, master_seed, bit_width, workers)
+    # symmetrized: Y_k conj(Y_l) + its conjugate
+    mean, stderr = _mean_stderr(2.0 * np.vstack(rows).real)
     usable = [i for i in range(len(lags)) if abs(mean[i]) > 3.0 * stderr[i]]
     result = dict(
         lags=tuple(lags),
@@ -520,14 +517,13 @@ def lemma3_check(
     """Audit pair moments with min(l, k - l) >= sqrt(n).
 
     Integer-linear families are audited exactly through their frequencies
-    (moment 2 when the frequency vanishes, 0 otherwise); the power family
-    is estimated by Monte Carlo.  "pass" means every far pair is zero or
-    statistically consistent with zero at 4 stderr; a pair bounded away
-    from zero beyond that (margin above 0.25) fails the decay hypothesis.
+    at the generator indices each window reads (moment 2 when the frequency
+    vanishes, 0 otherwise); the power family is estimated by Monte Carlo.
+    "pass" means every far pair is zero or statistically consistent with
+    zero at 4 stderr; a pair bounded away from zero beyond that (margin
+    above 0.25) fails the decay hypothesis.
     """
     m = as_multi_index(m)
-    if spec.family not in LINEAR_FAMILIES and n_seeds < 2:
-        raise ValueError("n_seeds must be at least 2 for a standard error")
     gap = math.isqrt(n - 1) + 1
     if 2 * gap > n:
         raise ValueError(f"n={n} too small for far pairs (needs n >= {2 * gap})")
@@ -538,17 +534,18 @@ def lemma3_check(
         k = rng.randint(l + gap, n)
         pairs.append((k, l))
     pairs = sorted(set(pairs))
-    if spec.family in LINEAR_FAMILIES:
+    exact = spec.family in LINEAR_FAMILIES
+    if exact:
+        _require_sliding(cfg)
         mean = np.array(
-            [2.0 if exact_frequency(spec, k, l, m) == 0 else 0.0 for k, l in pairs]
+            [2.0 if _pair_frequency(spec, cfg, m, k, l) == 0 else 0.0 for k, l in pairs]
         )
         stderr = np.zeros_like(mean)
-        exact = True
     else:
-        mean, stderr = _pair_moment_table(
-            spec, cfg, m, pairs, n_seeds, master_seed, bit_width, workers
+        rows = _seed_rows(
+            _window_row, spec, cfg, m, pairs, n_seeds, master_seed, bit_width, workers
         )
-        exact = False
+        mean, stderr = _mean_stderr(2.0 * np.vstack(rows).real)
     abs_mean = np.abs(mean)
     worst = int(np.argmax(abs_mean))
     empirical_max = float(abs_mean[worst])
@@ -633,7 +630,8 @@ class BytesBitSource:
 
 
 def default_bit_source(master_seed: int, bit_width: int = DEFAULT_MC_BITS) -> SeedBitSource:
-    return SeedBitSource(sample_seed(SeedSampler(master_seed, bit_width)))
+    (seed,) = _draw_seeds((Fraction(0), Fraction(1)), 1, master_seed, bit_width)
+    return SeedBitSource(seed)
 
 
 @dataclass(frozen=True)

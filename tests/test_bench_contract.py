@@ -1,17 +1,25 @@
-"""Every library name the benchmark tracer wraps must still resolve.
+"""The benchmark's view of the library: wrapped names and recorded goldens.
 
 `perfbench/tracer.py` installs its layer wrappers by (module, attribute)
 and (module, class, method); a renamed or deleted target would only show
-up as a failed `--trace 1` run, so it is checked here.
+up as a failed `--trace 1` run, so it is checked here.  The golden replay
+runs pool entry 0 of the seed-averaged job kinds through the benchmark's
+own job runner and checker, so a change that moves their results beyond
+the golden tolerance fails here rather than in a benchmark run.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+import equidist
+import equidist.cli  # noqa: F401  (the cli_batch jobs call equidist.cli.main)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _load_tracer():
@@ -33,3 +41,26 @@ def test_wrapped_function_resolves(module, attr):
 def test_wrapped_method_resolves(module, cls, method):
     owner = getattr(importlib.import_module(module), cls)
     assert callable(owner.__dict__[method])
+
+
+def _perfbench_modules():
+    # harness imports its siblings (goldens, jobs, tracer) by bare name
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module("harness"), importlib.import_module("jobs")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+harness, jobs = _perfbench_modules()
+REPLAYED = [(kind, "mc_sweep") for kind in jobs.WORKLOADS["mc_sweep"].kinds] + [
+    (kind, "cli_batch") for kind in ("wcud", "covariance", "discrepancy")
+]
+
+
+@pytest.mark.parametrize("kind, workload", REPLAYED)
+def test_golden_replay(kind, workload, tmp_path):
+    job = jobs.make_job(workload, kind, 0)
+    raw = jobs.run(job, equidist, str(tmp_path))
+    errors, _ = harness.Checker(workload).check(job, raw)
+    assert errors == []

@@ -243,6 +243,44 @@ class TestReports:
         assert lines[0] == "N,median,q10,q90"
         assert lines[1].startswith("26,")
 
+    def test_discrepancy_single_seed_is_zero(self, capsys):
+        code, out, _ = run_cfg(
+            capsys, command="discrepancy", family="factorial", n_max=100, n_seeds=1
+        )
+        assert code == 0
+        assert "over 1 seeds" in out
+
+    @pytest.mark.parametrize(
+        "command, extra, count",
+        [
+            ("generate", {}, 1),
+            ("weyl", {}, 1),
+            ("weyl", {"construction": "interleaved_a", "m_components": "1,1"}, 2),
+        ],
+    )
+    def test_reported_seeds_are_the_sampler_sequence(
+        self, capsys, tmp_path, command, extra, count
+    ):
+        from equidist.arithmetic import SeedSampler
+
+        path = tmp_path / "report.json"
+        run_cfg(
+            capsys,
+            command=command,
+            family="factorial",
+            d=count,
+            n_max=50,
+            m_radius=1,
+            master_rng_seed=5,
+            seed_bits=64,
+            output_path=str(path),
+            **extra,
+        )
+        sampler = SeedSampler(5, 64)
+        want = [str(sampler.sample()) for _ in range(count)]
+        got = json.loads(path.read_text())["seed"]
+        assert (got if isinstance(got, list) else [got]) == want
+
     def test_discrepancy_rejects_multidim(self, capsys):
         code, _, err = run_cfg(
             capsys, command="discrepancy", d=2, m_components="1,1", n_seeds=4

@@ -56,6 +56,11 @@ class TestExactFrequency:
             for l in range(1, k):
                 assert exact_frequency(MULT2, k, l, (2, -1)) == 0
 
+    def test_permutation_reads_rewired_indices(self):
+        # stream outputs 2 and 1 are beta_19 and beta_20
+        spec = MULT2.permuted(range(20, 0, -1))
+        assert exact_frequency(spec, 2, 1, (1,)) == 2**19 - 2**20
+
     def test_koksma_has_no_frequency(self):
         with pytest.raises(ValueError):
             exact_frequency(GeneratorSpec.koksma(), 2, 1, (1,))
@@ -309,6 +314,70 @@ class TestLemma3:
     def test_mc_needs_two_seeds(self):
         with pytest.raises(ValueError):
             lemma3_check(GeneratorSpec.koksma(), D1, (1,), 100, n_seeds=1)
+
+    def test_exact_path_reads_shifted_windows(self):
+        from equidist.stochastic import _pair_frequency
+        from equidist.weyl import MultiIndex
+
+        # with h = 2, window 2 starts at position 3, where c_3 = c_1: the
+        # frequency vanishes and the pair moment is identically 1
+        spec = GeneratorSpec.linear((1, 5, 1, 7, 9, 11, 13, 17))
+        cfg = WindowConfig(d=1, h=2)
+        assert _pair_frequency(spec, cfg, MultiIndex((1,)), 2, 1) == 0
+        est = mc_moment(spec, cfg, (1,), MomentTarget("pair_moment", k=2, l=1), n_seeds=4)
+        assert est.value == 1
+        # the far pair (4, 2) of n = 4 reads positions 7 and 3 at h = 2
+        spec = GeneratorSpec.linear((1, 5, 1, 7, 9, 11, 1, 17))
+        check = lemma3_check(spec, cfg, (1,), 4)
+        assert check.pairs == ((4, 2),)
+        assert check.estimates == (2.0,)
+        assert check.verdict == "fail"
+        assert lemma3_check(spec, D1, (1,), 4).estimates == (0.0,)
+
+    def test_exact_path_rejects_interleaved(self):
+        cfg = WindowConfig(d=2, construction="interleaved_a")
+        with pytest.raises(ValueError, match="interleaved_a"):
+            lemma3_check(FACTORIAL, cfg, (1, 1), 100)
+
+
+KOKSMA = GeneratorSpec.koksma()
+
+# every seed-averaged entry point, called as entry(cfg, **kwargs)
+ENTRY_POINTS = {
+    "mc_moment_pair": lambda cfg, **kw: mc_moment(
+        FACTORIAL, cfg, (1,) * cfg.d, MomentTarget("pair_moment", k=7, l=3), **kw
+    ),
+    "mc_moment_abs_sum": lambda cfg, **kw: mc_moment(
+        FACTORIAL, cfg, (1,) * cfg.d, MomentTarget("abs_sum_sq_mean", n=64), **kw
+    ),
+    "del_criterion": lambda cfg, **kw: del_criterion(FACTORIAL, cfg, (1,) * cfg.d, 300, **kw),
+    "wcud_check": lambda cfg, **kw: wcud_check(FACTORIAL, cfg, (1,) * cfg.d, 200, **kw),
+    "lemma2_decay_fit": lambda cfg, **kw: lemma2_decay_fit(
+        FACTORIAL, cfg, (1,) * cfg.d, [1, 2, 3], **kw
+    ),
+    "lemma3_check": lambda cfg, **kw: lemma3_check(
+        KOKSMA, cfg, (1,) * cfg.d, 100, n_pairs=4, bit_width=64, **kw
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+class TestSeedEngine:
+    def test_needs_two_seeds(self, entry):
+        with pytest.raises(ValueError, match="at least 2"):
+            entry(D1, n_seeds=1)
+
+    def test_worker_count_does_not_change_bits(self, entry):
+        cfg = WindowConfig(d=2, h=1, o=1)
+        a = entry(cfg, n_seeds=6, master_seed=3, workers=1)
+        b = entry(cfg, n_seeds=6, master_seed=3, workers=2)
+        assert a == b
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_rejects_interleaved(self, entry, d):
+        cfg = WindowConfig(d=d, construction="interleaved_a")
+        with pytest.raises(ValueError, match="interleaved_a"):
+            entry(cfg, n_seeds=4)
 
 
 class TestGammaIndex:
