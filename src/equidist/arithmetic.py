@@ -16,6 +16,20 @@ probe phases m * c_k * p / q; with B = 256, index budgets N <= 1e6 and
 test in this package can distinguish the rational orbit from an irrational
 one.  Raise bit_width if either scale grows by orders of magnitude.
 
+Primality carries two error contracts.  Below 2^64 the test is
+deterministic.  Above it, a denominator n supplied by a caller gets 48
+Miller-Rabin rounds, worst case 4^-48 = 2^-96 for any composite n.  The
+sampler's candidates are uniform random odd B-bit integers, so for them the
+Damgard-Landrock-Pomerance average-case bound (Math. Comp. 61, 1993) holds:
+the chance that the draw-until-pass loop returns a composite after t rounds
+is p_{B,t} < B^(3/2) 2^t t^(-1/2) 4^(2 - sqrt(t B)) for B >= 21 and
+3 <= t <= B/9.  The sampler runs the fewest rounds t with p_{B,t} <= 2^-96
+(`_dlp_rounds`): at B = 256 that is t = 16, bound 2^-98 (t = 15 gives only
+2^-94.9).  Widths where no such t exists keep 48 rounds.  Rounds draw their
+bases from an rng keyed on n, so the first t bases are those of the 48-round
+test and a different prime is drawn only if a composite passes them.  Each
+proved prime is remembered, so the seed built from it is not proved again.
+
 Power sequences t^k are irrational in t and get a fixed-point carrier
 (`FixedPointReal`) whose worst-case error in units of the last place is
 propagated, never reset, through every multiply and rescale.
@@ -41,10 +55,35 @@ _SMALL_PRIMES = [2, 3]
 for _c in range(5, 2000, 2):
     if all(_c % _p for _p in _SMALL_PRIMES):
         _SMALL_PRIMES.append(_c)
+_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
+_SMALL_PRIME_PRODUCT = math.prod(_SMALL_PRIMES)
 
 # Proven-deterministic Miller-Rabin witness set below 2^64.
 _MR_WITNESSES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_ROUNDS_LARGE = 48  # error < 4^-48 = 2^-96
+_MR_ERROR_BITS = 96
+_MR_ROUNDS_LARGE = _MR_ERROR_BITS // 2  # worst case 4^-48 = 2^-96
+
+# Primes proved above 2^64, oldest first; composites are never stored.
+_PROVEN_CAP = 256
+_proven: dict[int, None] = {}
+
+
+def _dlp_rounds(bits: int) -> int:
+    """Fewest Miller-Rabin rounds for a random odd `bits`-bit candidate.
+
+    The smallest t in 3..bits/9 whose Damgard-Landrock-Pomerance bound
+    log2 p = 1.5 log2 bits + t - 0.5 log2 t + 2 (2 - sqrt(t bits)) is at
+    most -96; the theorem needs bits >= 21.  Falls back to the worst-case
+    48 rounds where no t qualifies.
+    """
+    if bits >= 21:
+        for t in range(3, bits // 9 + 1):
+            log2_p = (
+                1.5 * math.log2(bits) + t - 0.5 * math.log2(t) + 2 * (2 - math.sqrt(t * bits))
+            )
+            if log2_p <= -_MR_ERROR_BITS:
+                return t
+    return _MR_ROUNDS_LARGE
 
 
 def _miller_rabin_round(n: int, d: int, r: int, a: int) -> bool:
@@ -58,27 +97,37 @@ def _miller_rabin_round(n: int, d: int, r: int, a: int) -> bool:
     return False
 
 
-def is_probable_prime(n: int) -> bool:
-    """Primality test: deterministic below 2^64, error < 2^-96 above."""
-    if n < 2:
+def is_probable_prime(n: int, *, rounds: int = _MR_ROUNDS_LARGE) -> bool:
+    """Primality test: deterministic below 2^64, `rounds` Miller-Rabin above.
+
+    The default 48 rounds bound the error by 4^-48 = 2^-96 for any n,
+    adversarial or not.  `SeedSampler` passes the fewer rounds of
+    `_dlp_rounds`, valid only for uniform random odd candidates, where the
+    average-case bound keeps the error of a drawn prime below 2^-96.
+    Prime verdicts above 2^64 are remembered (at most `_PROVEN_CAP`), and a
+    remembered n is prime without another round.
+    """
+    if n in _proven:
+        return True
+    if n <= _SMALL_PRIMES[-1]:
+        return n in _SMALL_PRIME_SET
+    if math.gcd(n, _SMALL_PRIME_PRODUCT) != 1:
         return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
         r += 1
     if n < 1 << 64:
-        witnesses = [a for a in _MR_WITNESSES_64 if a < n - 1]
-    else:
-        # Bases drawn from an rng keyed on n itself, so the verdict is a
-        # pure function of n and reproducible across runs.
-        local = random.Random(n)
-        witnesses = [local.randrange(2, n - 1) for _ in range(_MR_ROUNDS_LARGE)]
-    return all(_miller_rabin_round(n, d, r, a) for a in witnesses)
+        return all(_miller_rabin_round(n, d, r, a) for a in _MR_WITNESSES_64 if a < n - 1)
+    # Bases drawn lazily from an rng keyed on n itself, so the verdict is a
+    # pure function of n and the first t bases are the same for any rounds.
+    local = random.Random(n)
+    if not all(_miller_rabin_round(n, d, r, local.randrange(2, n - 1)) for _ in range(rounds)):
+        return False
+    if len(_proven) >= _PROVEN_CAP:
+        _proven.pop(next(iter(_proven)))
+    _proven[n] = None
+    return True
 
 
 def _as_fraction(x) -> Fraction:
@@ -155,9 +204,10 @@ class SeedSampler:
 
     def _random_prime(self) -> int:
         b = self.bit_width
+        rounds = _dlp_rounds(b)
         while True:
             cand = self._rng.getrandbits(b) | (1 << (b - 1)) | 1
-            if is_probable_prime(cand):
+            if is_probable_prime(cand, rounds=rounds):
                 return cand
 
     def sample(self, interval=(Fraction(0), Fraction(1))) -> RationalSeed:

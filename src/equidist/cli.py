@@ -276,7 +276,8 @@ def cmd_generate(cfg: RunConfig) -> int:
 
 def cmd_weyl(cfg: RunConfig) -> int:
     spec = cfg.spec()
-    if cfg.construction == "interleaved_a":
+    interleaved = cfg.construction == "interleaved_a"
+    if interleaved:
         seed = _draw(cfg, spec, cfg.d)
     else:
         (seed,) = _draw(cfg, spec, 1)
@@ -284,7 +285,7 @@ def cmd_weyl(cfg: RunConfig) -> int:
     flagged = scan.flagged(cfg.flag_threshold)
     verdict = "refuted" if flagged else "pass"
     payload = {
-        "seed": [str(s) for s in seed] if isinstance(seed, list) else str(seed),
+        "seed": [str(s) for s in seed] if interleaved else str(seed),
         "series": _series_payload(scan),
         "worst_m": list(scan.worst_m.components),
         "worst_final_magnitude": scan.worst_final_magnitude,

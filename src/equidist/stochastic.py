@@ -19,6 +19,7 @@ column mean of those rows with standard error std(ddof=1) / sqrt(n_seeds)
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -128,11 +129,19 @@ def c_of_m_scan(spec: GeneratorSpec, m, max_lag: int = 48, probe: int | None = N
         probe = 2 * max_lag
     if probe < max_lag + 1:
         raise ValueError("probe must exceed max_lag")
+    # Frequency of pair (k, l) is w_k - w_l with w_k = sum_i m_i c_(index of
+    # stream position k+i-1); each coefficient is computed once per scan.
+    indices = _indices_at(spec, list(range(1, probe + m.d)))
+    coeffs = [_coefficient(spec, a) for a in indices]
+    w = [0] + [
+        sum(c * coeffs[k - 1 + i] for i, c in enumerate(m.components))
+        for k in range(1, probe + 1)
+    ]
     zero_pairs = []
     worst = 0
     for g in range(1, max_lag + 1):
         for l in range(1, probe - g + 1):
-            if exact_frequency(spec, l + g, l, m) == 0:
+            if w[l + g] == w[l]:
                 zero_pairs.append((l + g, l))
                 worst = g
     return LagScan(
@@ -195,9 +204,19 @@ def _require_sliding(cfg: WindowConfig) -> None:
         )
 
 
-def _draw_seeds(interval, n_seeds: int, master_seed: int, bit_width: int):
+def _draw_seeds(interval, n_seeds: int, master_seed: int, bit_width: int) -> list[RationalSeed]:
+    """The first n_seeds draws of SeedSampler(master_seed, bit_width), as a new list.
+
+    Each seed set is drawn once per process and memoized (`_seed_set`), so
+    statistics that average over the same master seed share one draw.
+    """
+    return list(_seed_set(tuple(interval), n_seeds, master_seed, bit_width))
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_set(interval, n_seeds: int, master_seed: int, bit_width: int) -> tuple[RationalSeed, ...]:
     sampler = SeedSampler(master_seed, bit_width)
-    return [sample_seed(sampler, interval) for _ in range(n_seeds)]
+    return tuple(sample_seed(sampler, interval) for _ in range(n_seeds))
 
 
 def _pmap(fn, items, workers: int):

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equidist import arithmetic
 from equidist.arithmetic import (
     FixedPointReal,
     RationalSeed,
     SeedSampler,
+    _dlp_rounds,
     factorial_mod,
     fixed_point_pow,
     fixed_point_power_stream,
@@ -67,6 +69,89 @@ class TestPrimality:
         for _ in range(40):
             n = rng.getrandbits(80) | 1
             assert is_probable_prime(n) == _reference_miller_rabin(n)
+
+
+def _dlp_log2_bound(k: int, t: int) -> float:
+    # Damgard-Landrock-Pomerance: p_{k,t} < k^(3/2) 2^t t^(-1/2) 4^(2 - sqrt(tk))
+    return 1.5 * math.log2(k) + t - 0.5 * math.log2(t) + 2 * (2 - math.sqrt(t * k))
+
+
+@pytest.fixture
+def count_rounds(monkeypatch):
+    """Empty prime memo and a counter of Miller-Rabin rounds run."""
+    monkeypatch.setattr(arithmetic, "_proven", {})
+    calls = []
+    real = arithmetic._miller_rabin_round
+
+    def counted(n, d, r, a):
+        calls.append(n)
+        return real(n, d, r, a)
+
+    monkeypatch.setattr(arithmetic, "_miller_rabin_round", counted)
+    return calls
+
+
+class TestRoundCount:
+    def test_256_bits_take_16_rounds(self):
+        assert _dlp_log2_bound(256, 16) == pytest.approx(-98)
+        assert _dlp_log2_bound(256, 15) > -96
+        want = min(t for t in range(3, 256 // 9 + 1) if _dlp_log2_bound(256, t) <= -96)
+        assert _dlp_rounds(256) == want == 16
+
+    @pytest.mark.parametrize("bits", [200, 384, 512, 1024])
+    def test_smallest_qualifying_round_count(self, bits):
+        t = _dlp_rounds(bits)
+        assert 3 <= t <= bits // 9
+        assert _dlp_log2_bound(bits, t) <= -96
+        assert t == 3 or _dlp_log2_bound(bits, t - 1) > -96
+
+    @pytest.mark.parametrize("bits", [4, 20, 64, 128, 192])
+    def test_falls_back_to_48_rounds(self, bits):
+        # below 21 bits the theorem does not apply; up to 192 bits no t <= k/9 reaches 2^-96
+        assert all(_dlp_log2_bound(bits, t) > -96 for t in range(3, bits // 9 + 1))
+        assert _dlp_rounds(bits) == 48
+
+    def test_supplied_prime_gets_48_rounds(self, count_rounds):
+        q = 2**89 - 1
+        assert is_probable_prime(q)
+        assert count_rounds == [q] * 48
+
+    def test_drawn_prime_is_not_proved_again(self, count_rounds):
+        seed = SeedSampler(7).sample()
+        assert count_rounds.count(seed.denominator) == 16
+        del count_rounds[:]
+        assert RationalSeed(seed.numerator, seed.denominator) == seed
+        assert count_rounds == []
+
+    def test_composite_of_two_large_primes_rejected(self):
+        sampler = SeedSampler(9, bit_width=128)
+        q1, q2 = sampler._random_prime(), sampler._random_prime()
+        with pytest.raises(ValueError, match="not prime"):
+            RationalSeed(1, q1 * q2)
+
+    @pytest.mark.parametrize("master", range(1, 17))
+    def test_draws_match_48_round_reference(self, master):
+        rng = random.Random(master)
+        while True:
+            cand = rng.getrandbits(256) | (1 << 255) | 1
+            if _reference_miller_rabin(cand, rounds=48):
+                break
+        assert SeedSampler(master).sample().denominator == cand
+
+    def test_prime_memo_stays_at_cap(self, monkeypatch):
+        monkeypatch.setattr(arithmetic, "_proven", {})
+        monkeypatch.setattr(arithmetic, "_PROVEN_CAP", 4)
+        sampler = SeedSampler(3, bit_width=96)
+        drawn = [sampler.sample().denominator for _ in range(10)]
+        assert list(arithmetic._proven) == drawn[-4:]
+
+    def test_trial_division_matches_sieve(self):
+        limit = 20_000
+        sieve = [False, False] + [True] * (limit - 2)
+        for i in range(2, int(limit**0.5) + 1):
+            if sieve[i]:
+                sieve[i * i :: i] = [False] * len(sieve[i * i :: i])
+        assert [is_probable_prime(n) for n in range(limit)] == sieve
 
 
 class TestModpow:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equidist import stochastic
 from equidist.arithmetic import RationalSeed, SeedSampler, sample_seed
 from equidist.generators import ArithmeticIndices, GeneratorSpec, WindowConfig
 from equidist.stochastic import (
@@ -112,6 +113,28 @@ class TestCOfMScan:
     def test_probe_validation(self):
         with pytest.raises(ValueError):
             c_of_m_scan(FACTORIAL, (1,), max_lag=8, probe=8)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FACTORIAL,
+            MULT2,
+            GeneratorSpec.weyl(2),
+            GeneratorSpec.linear((1, 5, 1, 7, 9, 11, 13, 17) * 4),
+            MULT2.permuted(range(40, 0, -1)),
+        ],
+    )
+    @pytest.mark.parametrize("m", [(1,), (2, -1), (-4, 1), (1, 0, -1)])
+    def test_matches_pairwise_exact_frequency(self, spec, m):
+        scan = c_of_m_scan(spec, m, max_lag=6, probe=14)
+        want = tuple(
+            (l + g, l)
+            for g in range(1, 7)
+            for l in range(1, 15 - g)
+            if exact_frequency(spec, l + g, l, m) == 0
+        )
+        assert scan.zero_pairs == want
+        assert scan.c == max((k - l for k, l in want), default=0)
 
 
 class TestMomentTarget:
@@ -378,6 +401,30 @@ class TestSeedEngine:
         cfg = WindowConfig(d=d, construction="interleaved_a")
         with pytest.raises(ValueError, match="interleaved_a"):
             entry(cfg, n_seeds=4)
+
+
+class TestSeedMemo:
+    def test_repeat_draws_are_equal_fresh_lists(self):
+        args = ((Fraction(0), Fraction(1)), 4, 11, 64)
+        first = stochastic._draw_seeds(*args)
+        second = stochastic._draw_seeds(*args)
+        assert first == second and first is not second
+        first.append(first[0])
+        first[0] = None
+        assert stochastic._draw_seeds(*args) == second
+        assert len(second) == 4
+
+    def test_draws_are_the_sampler_sequence(self):
+        interval = (Fraction(1), Fraction(2))
+        sampler = SeedSampler(12, 64)
+        want = [sampler.sample(interval) for _ in range(5)]
+        assert stochastic._draw_seeds(interval, 5, 12, 64) == want
+
+    def test_memo_stays_at_cap(self):
+        cap = stochastic._seed_set.cache_info().maxsize
+        for master in range(cap + 5):
+            stochastic._draw_seeds((Fraction(0), Fraction(1)), 2, 1000 + master, 16)
+        assert stochastic._seed_set.cache_info().currsize == cap
 
 
 class TestGammaIndex:
