@@ -50,6 +50,8 @@ DEFAULT_SEED_BITS = 256
 DEFAULT_MAX_WORK_BITS = 24_576
 POWER_STREAM_GUARD_BITS = 96
 DEFAULT_MAX_POWER_STEPS = 20_000
+# Fractional bits of every koksma sample the power stream yields.
+POWER_STREAM_FRAC_BITS = 64
 
 _SMALL_PRIMES = [2, 3]
 for _c in range(5, 2000, 2):
@@ -354,7 +356,7 @@ class FixedPointReal:
 def fixed_point_pow(
     t,
     k: int,
-    target_frac_bits: int = 64,
+    target_frac_bits: int = POWER_STREAM_FRAC_BITS,
     max_bits: int = DEFAULT_MAX_WORK_BITS,
 ) -> FixedPointReal:
     """t^k with propagated error, fractional part good to ~target_frac_bits.
@@ -398,22 +400,17 @@ def fixed_point_pow(
     return acc.rescale(target_frac_bits)
 
 
-def fixed_point_power_stream(
-    t: Fraction,
-    count: int,
-    hi: Fraction,
-    target_frac_bits: int = 64,
-    max_steps: int = DEFAULT_MAX_POWER_STEPS,
-    max_bits: int = DEFAULT_MAX_WORK_BITS,
-):
+def fixed_point_power_stream(t: Fraction, count: int, hi: Fraction):
     """Yield frac(t^k) for k = 1..count as error-tracked fixed-point values.
 
-    One full-width multiply per step at P = ceil(count*log2 hi) + 96
-    fractional bits, hi being the supremum of the seed interval.  The
-    accumulated error at step k is ~k*t^k working ulps, so after the
-    rescale to target_frac_bits every sample carries an err_ulps of only
-    a few target ulps.  count is capped (default 20_000) because the cost
-    per step grows linearly with the working width.
+    One full-width multiply per step at P = ceil(count*log2 hi) + 1 +
+    POWER_STREAM_GUARD_BITS fractional bits, hi being the supremum of the
+    seed interval.  The accumulated error at step k is ~k*t^k working ulps,
+    so after the rescale to POWER_STREAM_FRAC_BITS every sample carries an
+    err_ulps of only a few target ulps.  count is capped at
+    DEFAULT_MAX_POWER_STEPS and P at DEFAULT_MAX_WORK_BITS (either raises
+    PrecisionBudgetError), because the cost per step grows linearly with
+    the working width.
     """
     t = _as_fraction(t)
     hi = _as_fraction(hi)
@@ -421,18 +418,19 @@ def fixed_point_power_stream(
         raise ValueError(f"seed {t} outside (1, {hi})")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if count > max_steps:
+    if count > DEFAULT_MAX_POWER_STEPS:
         raise PrecisionBudgetError(
-            f"count={count} exceeds the power-stream cap {max_steps}"
+            f"count={count} exceeds the power-stream cap {DEFAULT_MAX_POWER_STEPS}"
         )
     lg_hi = math.log2(hi.numerator) - math.log2(hi.denominator)
     work = math.ceil(count * lg_hi) + 1 + POWER_STREAM_GUARD_BITS
-    if work > max_bits:
+    if work > DEFAULT_MAX_WORK_BITS:
         raise PrecisionBudgetError(
-            f"count={count} in (1, {hi}) needs {work} working bits, cap is {max_bits}"
+            f"count={count} in (1, {hi}) needs {work} working bits, "
+            f"cap is {DEFAULT_MAX_WORK_BITS}"
         )
     base = FixedPointReal.from_fraction(t, work)
     acc = base
     for _ in range(count):
-        yield acc.frac().rescale(target_frac_bits)
+        yield acc.frac().rescale(POWER_STREAM_FRAC_BITS)
         acc = acc.mul(base)

@@ -263,7 +263,7 @@ def cmd_generate(cfg: RunConfig) -> int:
     payload = {
         "seed": str(seed),
         "values": values,
-        "exact": spec.family != "koksma",
+        "exact": spec.exact,
     }
     written = _write_report(cfg, payload)
     if written:
@@ -344,7 +344,7 @@ def cmd_covariance(cfg: RunConfig) -> int:
     spec = cfg.spec()
     m = cfg.multi_index()
     payload = {}
-    if spec.family != "koksma":
+    if spec.exact:
         scan = c_of_m_scan(spec, m)
         payload["c_of_m"] = {
             "c": scan.c,

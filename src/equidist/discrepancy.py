@@ -81,11 +81,7 @@ def extreme_discrepancy_1d(points) -> DiscrepancyResult:
     )
 
 
-def star_discrepancy_oracle(
-    points,
-    max_points: int = ORACLE_MAX_POINTS,
-    max_dim: int = ORACLE_MAX_DIM,
-) -> DiscrepancyResult:
+def star_discrepancy_oracle(points) -> DiscrepancyResult:
     """Brute-force D*_N with a witness box, for d <= 3 and N <= 64.
 
     Candidate corners take each coordinate from the sample coordinates in
@@ -99,9 +95,9 @@ def star_discrepancy_oracle(
     if xs.ndim == 1:
         xs = xs[:, None]
     n, d = xs.shape
-    if n > max_points or d > max_dim:
+    if n > ORACLE_MAX_POINTS or d > ORACLE_MAX_DIM:
         raise ValueError(
-            f"oracle capped at {max_points} points in dimension {max_dim}, "
+            f"oracle capped at {ORACLE_MAX_POINTS} points in dimension {ORACLE_MAX_DIM}, "
             f"got N={n}, d={d}"
         )
     coords = [np.concatenate([np.unique(xs[:, i]), [1.0]]) for i in range(d)]

@@ -5,6 +5,14 @@ sample is beta_k = x_k(t) mod 1.  The integer-coefficient families reduce
 exactly: beta_k = (c_k * p mod q) / q for t = p/q.  The power family t^k
 has no such reduction and runs on the fixed-point carrier instead.
 
+Every family is read through one indexed reader, `_samples_at`: it takes
+generator indices in any order, repeats allowed, and returns the samples
+in the caller's order, exact residues for the integer families and
+`FixedPointReal` values of frac(t^k) for koksma.  `residue_stream`,
+`beta_stream` and the float crossing `_scalars_at` are views over it; a
+koksma sample takes `.frac()` once more when it becomes a float, since the
+rescale to the target width can round it up to exactly 1.
+
 Multidimensional points come from two constructions over scalar streams:
 interleaved blocks over d independent seeds, or sliding/shifted windows
 over a single stream (shift h = 1 overlaps, h = d tiles, any h >= 1 with
@@ -54,9 +62,6 @@ class ArithmeticIndices:
 
     def at(self, i: int) -> int:
         return self.start + (i - 1) * self.stride
-
-
-IndexDescriptor = "tuple[int, ...] | ArithmeticIndices"
 
 
 def _descriptor_at(desc, i: int) -> int:
@@ -131,10 +136,15 @@ class GeneratorSpec:
             indices = tuple(int(i) for i in indices)
         return replace(self, permutation=indices)
 
+    @property
+    def exact(self) -> bool:
+        """Integer-coefficient family: samples are exact residues c_k * p mod q."""
+        return self.family != "koksma"
+
     def seed_interval(self) -> tuple[Fraction, Fraction]:
-        if self.family == "koksma":
-            return self.interval
-        return (Fraction(0), Fraction(1))
+        if self.exact:
+            return (Fraction(0), Fraction(1))
+        return self.interval
 
 
 @dataclass(frozen=True)
@@ -155,6 +165,8 @@ class WindowConfig:
             raise ValueError("offset must be nonnegative")
         if self.construction not in CONSTRUCTIONS:
             raise ValueError(f"unknown construction {self.construction!r}")
+        if self.construction == "interleaved_a" and (self.h, self.o) != (1, 0):
+            raise ValueError("interleaved_a has no shift or offset: needs h = 1 and o = 0")
 
     def stream_length(self, count: int) -> int:
         """Scalar samples needed for `count` windows."""
@@ -219,15 +231,24 @@ def unit_float(numerator: int, denominator: int) -> float:
 # -- scalar streams ------------------------------------------------------
 
 
-def _residues_at(spec: GeneratorSpec, seed: RationalSeed, indices: list[int]) -> list[int]:
-    """Exact residues c_k * p mod q at generator indices, in the caller's order.
+def _samples_at(spec: GeneratorSpec, seed: RationalSeed, indices: list[int]) -> list:
+    """Samples beta_k at generator indices, in the caller's order.
 
-    The recurrence families walk the sorted distinct indices once and
-    carry the recurrence across every gap: factorial multiplies through
-    the skipped k, multiplicative multiplies by base^gap mod q.  The
-    other families are direct: k * p for weyl p = 1, one modular power
-    per index otherwise.
+    Indices may repeat and come in any order.  Integer-coefficient families
+    give exact residues c_k * p mod q (beta_k = residue / q); koksma gives
+    frac(t^k) as a `FixedPointReal` of POWER_STREAM_FRAC_BITS bits.  Its
+    rescale can round a sample up to exactly 1, so a koksma sample crosses
+    into a float as `.frac().to_float()`, as `UnitSample.as_float` does.
+
+    The recurrence families walk the sorted distinct indices once and carry
+    the recurrence across every gap: factorial multiplies through the
+    skipped k, multiplicative multiplies by base^gap mod q, and koksma
+    steps the power stream up to the largest index.  The other families
+    are direct: k * p for weyl p = 1, one modular power per index otherwise.
     """
+    lo, hi = spec.seed_interval()
+    if not lo < seed.value < hi:
+        raise ValueError(f"seed {seed} outside the family interval ({lo}, {hi})")
     q, p = seed.denominator, seed.numerator
     fam = spec.family
     if fam == "weyl_power" and spec.power == 1:
@@ -244,12 +265,13 @@ def _residues_at(spec: GeneratorSpec, seed: RationalSeed, indices: list[int]) ->
                 raise ValueError(f"coefficient at index {k} must be positive, got {c}")
             out.append(c % q * p % q)
         return out
-    if fam not in ("factorial", "multiplicative"):
-        raise ValueError(f"{fam} has no exact residue path")
     walk = indices if _ascending(indices) else sorted(set(indices))
-    out = []
-    acc, k = p % q, 0
-    if fam == "factorial":
+    out, acc, k = [], p % q, 0
+    if fam == "koksma":
+        want = set(walk)
+        stream = enumerate(fixed_point_power_stream(seed.value, max(walk, default=0), hi), 1)
+        out = [s for k, s in stream if k in want]
+    elif fam == "factorial":
         for target in walk:
             while k < target:
                 k += 1
@@ -280,15 +302,14 @@ def residue_stream(
 ) -> tuple[list[int], int]:
     """Exact residues of the first `count` outputs plus the denominator.
 
-    The residues are `_residues_at` the stream's generator indices, so a
+    The residues are `_samples_at` the stream's generator indices, so a
     permutation wrapper evaluates the inner family at the rewired indices.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if spec.family == "koksma":
+    if not spec.exact:
         raise ValueError("koksma has no exact residue path; use beta_stream")
-    _check_seed(spec, seed)
-    return _residues_at(spec, seed, stream_indices(spec, count)), seed.denominator
+    return _samples_at(spec, seed, stream_indices(spec, count)), seed.denominator
 
 
 def stream_indices(spec: GeneratorSpec, count: int) -> list[int]:
@@ -311,50 +332,23 @@ def _indices_at(spec: GeneratorSpec, positions: list[int]) -> list[int]:
     return indices
 
 
-def _check_seed(spec: GeneratorSpec, seed: RationalSeed) -> None:
-    lo, hi = spec.seed_interval()
-    if not lo < seed.value < hi:
-        raise ValueError(f"seed {seed} outside the family interval ({lo}, {hi})")
-
-
-def beta_stream(
-    spec: GeneratorSpec,
-    seed: RationalSeed,
-    count: int,
-    *,
-    frac_bits: int = 64,
-    max_power_steps: int | None = None,
-) -> list[UnitSample]:
+def beta_stream(spec: GeneratorSpec, seed: RationalSeed, count: int) -> list[UnitSample]:
     """First `count` unit-cube samples beta_k = x_k(t) mod 1.
 
     Integer-coefficient families return exact residue samples.  The koksma
-    family returns fixed-point samples carrying their own error bound; its
-    index budget is capped by the precision budget (see
+    family returns fixed-point samples of POWER_STREAM_FRAC_BITS bits
+    carrying their own error bound; its index budget is capped by
+    DEFAULT_MAX_POWER_STEPS and DEFAULT_MAX_WORK_BITS (see
     `fixed_point_power_stream`).
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    _check_seed(spec, seed)
     indices = stream_indices(spec, count)
-    if spec.family != "koksma":
+    samples = _samples_at(spec, seed, indices)
+    if spec.exact:
         q = seed.denominator
-        return [
-            UnitSample(k=k, residue=r, denominator=q)
-            for k, r in zip(indices, _residues_at(spec, seed, indices))
-        ]
-    top = max(indices, default=0)
-    kwargs = {}
-    if max_power_steps is not None:
-        kwargs["max_steps"] = max_power_steps
-    stream = fixed_point_power_stream(
-        seed.value, top, spec.interval[1], target_frac_bits=frac_bits, **kwargs
-    )
-    by_index = {}
-    want = set(indices)
-    for k, sample in enumerate(stream, start=1):
-        if k in want:
-            by_index[k] = sample
-    return [UnitSample(k=k, fixed=by_index[k]) for k in indices]
+        return [UnitSample(k=k, residue=r, denominator=q) for k, r in zip(indices, samples)]
+    return [UnitSample(k=k, fixed=s) for k, s in zip(indices, samples)]
 
 
 # -- window constructions ------------------------------------------------
@@ -381,8 +375,6 @@ def interleaved_vectors(
         raise ValueError("count must be nonnegative")
     if spec.permutation is not None:
         raise ValueError("interleaving a permuted stream is not defined")
-    for seed in seeds:
-        _check_seed(spec, seed)
     columns = [
         beta_stream(spec.permuted(range(j, d * count + 1, d)), seed, count)
         for j, seed in enumerate(seeds, start=1)
@@ -398,22 +390,17 @@ def residues_to_floats(residues, denominator: int) -> np.ndarray:
     return np.fromiter((unit_float(r, denominator) for r in residues), dtype=float)
 
 
-def _scalars_at(
-    spec: GeneratorSpec, seed: RationalSeed, positions, frac_bits: int = 64
-) -> np.ndarray:
+def _scalars_at(spec: GeneratorSpec, seed: RationalSeed, positions) -> np.ndarray:
     """Float samples at 1-based stream positions, in the caller's order.
 
     The one place samples cross into floats, one rounding each: exact
-    residues through `residues_to_floats`, koksma's fixed-point samples
-    through `stream_floats`.  Positions may repeat and come in any order.
+    residues through `residues_to_floats`, koksma's fixed-point samples as
+    `.frac().to_float()`.  Positions may repeat and come in any order.
     """
-    _check_seed(spec, seed)
-    indices = _indices_at(spec, list(positions))
-    if spec.family != "koksma":
-        return residues_to_floats(_residues_at(spec, seed, indices), seed.denominator)
-    walk = sorted(set(indices))
-    stream = beta_stream(spec.permuted(walk), seed, len(walk), frac_bits=frac_bits)
-    return stream_floats(stream)[np.searchsorted(walk, indices)]
+    samples = _samples_at(spec, seed, _indices_at(spec, list(positions)))
+    if spec.exact:
+        return residues_to_floats(samples, seed.denominator)
+    return np.array([s.frac().to_float() for s in samples], dtype=float)
 
 
 def stream_floats(stream) -> np.ndarray:

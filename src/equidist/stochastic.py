@@ -48,14 +48,6 @@ from .weyl import (
 DEFAULT_MC_SEEDS = 256
 DEFAULT_MC_BITS = 256
 
-LINEAR_FAMILIES = (
-    "weyl_power",
-    "multiplicative",
-    "factorial",
-    "self_power",
-    "linear_integer",
-)
-
 
 # -- exact frequency certificates ------------------------------------------
 
@@ -83,21 +75,26 @@ def exact_frequency(spec: GeneratorSpec, k: int, l: int, m) -> int:
     Windows are consecutive (h = 1, o = 0) and read the generator indices
     a spec's permutation puts at their stream positions.
     """
-    if spec.family not in LINEAR_FAMILIES:
+    if not spec.exact:
         raise ValueError("exact frequencies exist for integer-linear families only")
     if min(k, l) < 1:
         raise ValueError("indices start at 1")
     m = as_multi_index(m)
-    return _pair_frequency(spec, WindowConfig(d=m.d), m, k, l)
+    w = _window_sums(spec, WindowConfig(d=m.d), m, (k, l))
+    return w[k] - w[l]
 
 
-def _pair_frequency(spec: GeneratorSpec, cfg: WindowConfig, m: MultiIndex, k: int, l: int) -> int:
-    """sum_i m_i (c_a - c_b) over the generator indices a, b of windows k, l."""
-    at_k, at_l = (_indices_at(spec, row) for row in _window_positions(cfg, [k, l]))
-    return sum(
-        c * (_coefficient(spec, a) - _coefficient(spec, b))
-        for c, a, b in zip(m.components, at_k, at_l)
-    )
+def _window_sums(spec: GeneratorSpec, cfg: WindowConfig, m: MultiIndex, ks) -> dict[int, int]:
+    """w_k = sum_i m_i c_a over the generator indices a that window k reads.
+
+    The frequency of the pair (k, l) is w_k - w_l.  Each coefficient is
+    computed once, however many of the windows read its stream position.
+    """
+    ks = list(ks)
+    rows = _window_positions(cfg, ks)
+    positions = sorted({p for row in rows for p in row})
+    coeffs = dict(zip(positions, (_coefficient(spec, a) for a in _indices_at(spec, positions))))
+    return {k: sum(c * coeffs[p] for c, p in zip(m.components, row)) for k, row in zip(ks, rows)}
 
 
 def exact_frequency_factorial(k: int, l: int, m) -> int:
@@ -129,14 +126,7 @@ def c_of_m_scan(spec: GeneratorSpec, m, max_lag: int = 48, probe: int | None = N
         probe = 2 * max_lag
     if probe < max_lag + 1:
         raise ValueError("probe must exceed max_lag")
-    # Frequency of pair (k, l) is w_k - w_l with w_k = sum_i m_i c_(index of
-    # stream position k+i-1); each coefficient is computed once per scan.
-    indices = _indices_at(spec, list(range(1, probe + m.d)))
-    coeffs = [_coefficient(spec, a) for a in indices]
-    w = [0] + [
-        sum(c * coeffs[k - 1 + i] for i, c in enumerate(m.components))
-        for k in range(1, probe + 1)
-    ]
+    w = _window_sums(spec, WindowConfig(d=m.d), m, range(1, probe + 1))
     zero_pairs = []
     worst = 0
     for g in range(1, max_lag + 1):
@@ -343,10 +333,13 @@ def del_criterion(
     share of the total: under 5 percent reads as flattening, over 25
     percent as growth.  A companion log-log fit of E(|S_n|/n)^2 against n
     lands in the details: exponent near 1 is the orthogonal-family rate,
-    near 0 the degenerate one.
+    near 0 the degenerate one.  Both need two checkpoints, so n_max below
+    the second one (27) raises ValueError.
     """
     m = as_multi_index(m)
     cps = checkpoint_grid(n_max)
+    if len(cps) < 2:
+        raise ValueError(f"n_max={n_max} gives one checkpoint; del_criterion needs two")
     at_cps = np.array(cps) - 1
     rows = _seed_rows(
         _prefix_row, spec, cfg, m, range(1, n_max + 1), n_seeds, master_seed, bit_width, workers
@@ -553,12 +546,10 @@ def lemma3_check(
         k = rng.randint(l + gap, n)
         pairs.append((k, l))
     pairs = sorted(set(pairs))
-    exact = spec.family in LINEAR_FAMILIES
-    if exact:
+    if spec.exact:
         _require_sliding(cfg)
-        mean = np.array(
-            [2.0 if _pair_frequency(spec, cfg, m, k, l) == 0 else 0.0 for k, l in pairs]
-        )
+        w = _window_sums(spec, cfg, m, {k for pair in pairs for k in pair})
+        mean = np.array([2.0 if w[k] == w[l] else 0.0 for k, l in pairs])
         stderr = np.zeros_like(mean)
     else:
         rows = _seed_rows(
@@ -571,7 +562,7 @@ def lemma3_check(
     c_hat = empirical_max * math.log(n) ** 2
     implied = n + n**1.5 + c_hat * n**2 / math.log(n) ** 2
     excess = abs_mean - 4.0 * stderr
-    if float(np.max(excess)) <= 0.0 or (exact and empirical_max == 0.0):
+    if float(np.max(excess)) <= 0.0 or (spec.exact and empirical_max == 0.0):
         verdict = "pass"
     elif float(np.max(excess)) > 0.25:
         verdict = "fail"
@@ -586,7 +577,7 @@ def lemma3_check(
         c_hat=c_hat,
         implied_budget=float(implied),
         verdict=verdict,
-        exact=exact,
+        exact=spec.exact,
     )
 
 

@@ -42,14 +42,14 @@ CHECKPOINT_FIRST_EXPONENT = 8
 MAGNITUDE_SLACK = 1e-12
 
 
-def checkpoint_grid(n_max: int, ratio: float = CHECKPOINT_RATIO) -> list[int]:
-    """Geometric checkpoint grid {ceil(ratio^j)} capped and closed at n_max."""
+def checkpoint_grid(n_max: int) -> list[int]:
+    """Grid {ceil(CHECKPOINT_RATIO^j) : j >= CHECKPOINT_FIRST_EXPONENT}, closed at n_max."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     grid = set()
     j = CHECKPOINT_FIRST_EXPONENT
     while True:
-        n = math.ceil(ratio**j)
+        n = math.ceil(CHECKPOINT_RATIO**j)
         if n > n_max:
             break
         grid.add(n)
@@ -284,13 +284,7 @@ class ScanResult:
         )
 
 
-def scan_points(
-    spec: GeneratorSpec,
-    seed,
-    cfg: WindowConfig,
-    count: int,
-    frac_bits: int = 64,
-) -> np.ndarray:
+def scan_points(spec: GeneratorSpec, seed, cfg: WindowConfig, count: int) -> np.ndarray:
     """Float window matrix (count, d) for a family/seed/window triple.
 
     The scalar samples cross into floats in `_scalars_at`, one rounding
@@ -305,14 +299,14 @@ def scan_points(
         if spec.permutation is not None:
             raise ValueError("interleaving a permuted stream is not defined")
         columns = [
-            _scalars_at(spec, s, range(j, cfg.d * count + 1, cfg.d), frac_bits=frac_bits)
+            _scalars_at(spec, s, range(j, cfg.d * count + 1, cfg.d))
             for j, s in enumerate(seeds, start=1)
         ]
         return np.column_stack(columns)
     if isinstance(seed, (list, tuple)):
         raise ValueError("sliding_bc takes a single seed")
     positions = range(1, cfg.stream_length(count) + 1)
-    values = _scalars_at(spec, seed, positions, frac_bits=frac_bits)
+    values = _scalars_at(spec, seed, positions)
     return windows_array(values, cfg, count)
 
 

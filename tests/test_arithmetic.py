@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 
 from equidist import arithmetic
 from equidist.arithmetic import (
+    DEFAULT_MAX_POWER_STEPS,
+    DEFAULT_MAX_WORK_BITS,
+    POWER_STREAM_GUARD_BITS,
     FixedPointReal,
     RationalSeed,
     SeedSampler,
@@ -366,6 +369,17 @@ class TestPowerStream:
         gen = fixed_point_power_stream(Fraction(3, 2), 30_000, Fraction(2))
         with pytest.raises(PrecisionBudgetError):
             next(gen)
+
+    def test_working_bit_cap(self):
+        # hi = 4 costs 2 working bits per step: the last count that fits
+        # DEFAULT_MAX_WORK_BITS is far below the step cap
+        fits = (DEFAULT_MAX_WORK_BITS - 1 - POWER_STREAM_GUARD_BITS) // 2
+        assert fits == 12_239 < DEFAULT_MAX_POWER_STEPS
+        assert next(fixed_point_power_stream(Fraction(3, 2), fits, Fraction(4))).frac_bits == 64
+        for count in (fits + 1, 12_300):
+            gen = fixed_point_power_stream(Fraction(3, 2), count, Fraction(4))
+            with pytest.raises(PrecisionBudgetError, match="working bits"):
+                next(gen)
 
     def test_seed_outside_interval(self):
         gen = fixed_point_power_stream(Fraction(5, 2), 10, Fraction(2))

@@ -92,6 +92,14 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in err
 
+    def test_interleaved_shift_is_one(self, capsys):
+        # interleaved_a reads no shift: a report claiming h = 3 would be false
+        with pytest.raises(SystemExit) as exc:
+            main(["weyl", "--construction", "interleaved_a", "--d", "2", "--h", "3",
+                  "--m", "1,1", "--N", "50", "--seed-bits", "64"])
+        assert exc.value.code == 1
+        assert "interleaved_a" in capsys.readouterr().err
+
     def test_degenerate_weyl(self, capsys):
         code, out, _ = run_cfg(capsys, command="degenerate", family="weyl", power=3)
         assert code == 0

@@ -20,7 +20,8 @@ from equidist.generators import (
     export_stream_csv,
     interleaved_vectors,
     read_index_file,
-    _residues_at,
+    _samples_at,
+    _scalars_at,
     residue_stream,
     stream_floats,
     unit_float,
@@ -181,6 +182,13 @@ class TestWindows:
         with pytest.raises(ValueError):
             WindowConfig(construction="nope")
 
+    def test_interleaved_takes_no_shift_or_offset(self):
+        # interleaved_a stacks one column per seed and never reads h or o
+        for h, o in ((3, 5), (3, 0), (1, 5)):
+            with pytest.raises(ValueError, match="interleaved_a"):
+                WindowConfig(d=2, h=h, o=o, construction="interleaved_a")
+        assert WindowConfig(d=2, construction="interleaved_a").h == 1
+
 
 class TestInterleaved:
     def test_two_seed_example(self):
@@ -278,9 +286,27 @@ class TestResidueStream:
             assert res == [c(k) * p % q for k in range(1, 13)]
             for indices in layouts:
                 want = [c(k) * p % q for k in indices]
-                assert _residues_at(spec, seed, indices) == want
+                assert _samples_at(spec, seed, indices) == want
             res, _ = residue_stream(spec.permuted(shuffled), seed, 12)
             assert res == [c(k) * p % q for k in shuffled]
+
+    def test_koksma_reader_matches_stream(self):
+        sampler = SeedSampler(29, bit_width=64)
+        shuffled = list(range(1, 61))
+        random.Random(3).shuffle(shuffled)
+        layouts = (shuffled, [7, 3, 7, 1, 60, 3], list(range(60, 0, -2)) * 2, [])
+        for spec in (
+            GeneratorSpec.koksma(),
+            GeneratorSpec.koksma(Fraction(3, 2)).permuted(ArithmeticIndices(2, 3)),
+        ):
+            seed = sampler.sample(spec.seed_interval())
+            stream = beta_stream(spec, seed, 60)
+            floats = stream_floats(stream)
+            for positions in layouts:
+                got = _scalars_at(spec, seed, positions)
+                assert got.tobytes() == floats[np.array(positions, dtype=int) - 1].tobytes()
+                indices = [stream[i - 1].k for i in positions]
+                assert _samples_at(spec, seed, indices) == [stream[i - 1].fixed for i in positions]
 
     def test_floats_match_values(self):
         seed = SeedSampler(23, bit_width=64).sample()

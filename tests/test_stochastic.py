@@ -1,6 +1,7 @@
 """Exact frequencies, Monte-Carlo moments, SLLN diagnostics, gamma baseline."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from equidist.arithmetic import RationalSeed, SeedSampler, sample_seed
 from equidist.generators import ArithmeticIndices, GeneratorSpec, WindowConfig
 from equidist.stochastic import (
     BytesBitSource,
+    _window_sums,
     GammaStream,
     MomentTarget,
     SeedBitSource,
@@ -28,6 +30,7 @@ from equidist.stochastic import (
     mc_moment,
     wcud_check,
 )
+from equidist.weyl import MultiIndex
 
 FACTORIAL = GeneratorSpec.factorial()
 MULT2 = GeneratorSpec.multiplicative(2)
@@ -135,6 +138,70 @@ class TestCOfMScan:
         )
         assert scan.zero_pairs == want
         assert scan.c == max((k - l for k, l in want), default=0)
+
+
+def _coefficient_at(spec, a: int) -> int:
+    # integer coefficient c_a straight from its definition
+    if spec.family == "factorial":
+        return math.factorial(a)
+    if spec.family == "multiplicative":
+        return spec.base**a
+    if spec.family == "weyl_power":
+        return a**spec.power
+    if spec.family == "self_power":
+        return a**a
+    desc = spec.coefficients
+    return desc.start + (a - 1) * desc.stride
+
+
+def _index_at(spec, position: int) -> int:
+    perm = spec.permutation
+    if perm is None:
+        return position
+    if isinstance(perm, ArithmeticIndices):
+        return perm.start + (position - 1) * perm.stride
+    return perm[position - 1]
+
+
+class TestWindowSums:
+    SHUFFLED = tuple(random.Random(7).sample(range(1, 41), 40))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FACTORIAL.permuted(SHUFFLED),
+            GeneratorSpec.multiplicative(3).permuted(ArithmeticIndices(2, 3)),
+            GeneratorSpec.weyl(2).permuted(SHUFFLED),
+            GeneratorSpec.self_power(),
+            GeneratorSpec.linear(ArithmeticIndices(5, 2)).permuted(SHUFFLED),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "cfg, m",
+        [
+            (WindowConfig(d=1), (1,)),
+            (WindowConfig(d=2, h=2, o=1), (2, -1)),
+            (WindowConfig(d=3, h=2, o=1), (1, -2, 1)),
+        ],
+    )
+    def test_brute_force_oracle(self, spec, cfg, m):
+        # w_k - w_l = sum_i m_i (c_a - c_b), a and b the generator indices at
+        # stream positions (k-1)h + o + i and (l-1)h + o + i
+        def window(k):
+            return [_index_at(spec, (k - 1) * cfg.h + cfg.o + i) for i in range(1, cfg.d + 1)]
+
+        ks = [1, 2, 5, 9, 13, 14]
+        w = _window_sums(spec, cfg, MultiIndex(m), ks)
+        assert sorted(w) == ks
+        for k in ks:
+            for l in ks:
+                want = sum(
+                    c * (_coefficient_at(spec, a) - _coefficient_at(spec, b))
+                    for c, a, b in zip(m, window(k), window(l))
+                )
+                assert w[k] - w[l] == want
+                if cfg.h == 1 and cfg.o == 0:
+                    assert exact_frequency(spec, k, l, m) == want
 
 
 class TestMomentTarget:
@@ -251,6 +318,13 @@ class TestDelCriterion:
         with pytest.raises(ValueError):
             del_criterion(FACTORIAL, D1, (1,), 300, n_seeds=1)
 
+    def test_needs_two_checkpoints(self):
+        # below the second checkpoint the decade ratio and the fit are vacuous
+        with pytest.raises(ValueError, match="checkpoint"):
+            del_criterion(FACTORIAL, D1, (1,), 26, n_seeds=4)
+        res = del_criterion(FACTORIAL, D1, (1,), 27, n_seeds=4)
+        assert res.checkpoints == (26, 27)
+
 
 class TestLemma2:
     def test_degenerate_control_is_flat(self):
@@ -339,14 +413,15 @@ class TestLemma3:
             lemma3_check(GeneratorSpec.koksma(), D1, (1,), 100, n_seeds=1)
 
     def test_exact_path_reads_shifted_windows(self):
-        from equidist.stochastic import _pair_frequency
+        from equidist.stochastic import _window_sums
         from equidist.weyl import MultiIndex
 
         # with h = 2, window 2 starts at position 3, where c_3 = c_1: the
         # frequency vanishes and the pair moment is identically 1
         spec = GeneratorSpec.linear((1, 5, 1, 7, 9, 11, 13, 17))
         cfg = WindowConfig(d=1, h=2)
-        assert _pair_frequency(spec, cfg, MultiIndex((1,)), 2, 1) == 0
+        w = _window_sums(spec, cfg, MultiIndex((1,)), (2, 1))
+        assert w[2] - w[1] == 0
         est = mc_moment(spec, cfg, (1,), MomentTarget("pair_moment", k=2, l=1), n_seeds=4)
         assert est.value == 1
         # the far pair (4, 2) of n = 4 reads positions 7 and 3 at h = 2
