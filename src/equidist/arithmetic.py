@@ -236,34 +236,6 @@ class SeedSampler:
                 return RationalSeed(p, q, (lo, hi))
 
 
-def sample_seed(sampler: SeedSampler, interval=(Fraction(0), Fraction(1))) -> RationalSeed:
-    """Draw a random seed p/q with q a fresh bit_width-bit odd prime."""
-    return sampler.sample(interval)
-
-
-def modpow(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus for exponent >= 0, modulus >= 2."""
-    if modulus < 2:
-        raise ValueError(f"modulus must be at least 2, got {modulus}")
-    if exponent < 0:
-        raise ValueError(f"exponent must be nonnegative, got {exponent}")
-    return pow(base, exponent, modulus)
-
-
-def factorial_mod(k: int, modulus: int, prev: int | None = None) -> int:
-    """k! mod modulus; with prev = (k-1)! mod modulus it is one multiply."""
-    if modulus < 2:
-        raise ValueError(f"modulus must be at least 2, got {modulus}")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if prev is not None:
-        return k * prev % modulus
-    acc = 1
-    for i in range(2, k + 1):
-        acc = acc * i % modulus
-    return acc
-
-
 def _round_div(a: int, b: int) -> tuple[int, bool]:
     """Round-to-nearest a/b (ties away from zero for b>0); flags inexactness."""
     q, r = divmod(a, b)

@@ -47,16 +47,6 @@ from .weyl import (
     degenerate_m_weyl,
 )
 
-COMMANDS = (
-    "generate",
-    "weyl",
-    "discrepancy",
-    "covariance",
-    "wcud",
-    "degenerate",
-    "gamma",
-)
-
 FAMILY_ALIASES = {
     "weyl": "weyl_power",
     "weyl_power": "weyl_power",
@@ -250,7 +240,7 @@ def _draw(cfg: RunConfig, spec: GeneratorSpec, count: int) -> list:
     return _draw_seeds(spec.seed_interval(), count, cfg.master_rng_seed, cfg.seed_bits)
 
 
-def cmd_generate(cfg: RunConfig) -> int:
+def cmd_generate(cfg: RunConfig) -> str | None:
     spec = cfg.spec()
     (seed,) = _draw(cfg, spec, 1)
     path = _report_path(cfg)
@@ -258,7 +248,7 @@ def cmd_generate(cfg: RunConfig) -> int:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         export_stream_csv(path, beta_stream(spec, seed, cfg.n_max))
         print(f"wrote {cfg.n_max} samples to {path}")
-        return 0
+        return
     values = _scalars_at(spec, seed, range(1, cfg.n_max + 1)).tolist()
     payload = {
         "seed": str(seed),
@@ -271,10 +261,9 @@ def cmd_generate(cfg: RunConfig) -> int:
     else:
         for k, v in enumerate(values, start=1):
             print(f"{k},{v!r}")
-    return 0
 
 
-def cmd_weyl(cfg: RunConfig) -> int:
+def cmd_weyl(cfg: RunConfig) -> str | None:
     spec = cfg.spec()
     interleaved = cfg.construction == "interleaved_a"
     if interleaved:
@@ -302,7 +291,7 @@ def cmd_weyl(cfg: RunConfig) -> int:
         final = scan.series[m].final_magnitude
         print(f"flagged m={m} |W_N|={final:.6f}")
     print(f"weyl scan verdict: {verdict} (worst m={scan.worst_m}, |W_N|={scan.worst_final_magnitude:.6f})")
-    return 2 if flagged else 0
+    return verdict
 
 
 def _star_job(job):
@@ -311,7 +300,7 @@ def _star_job(job):
     return [star_discrepancy_1d(values[:n]).value for n in cps]
 
 
-def cmd_discrepancy(cfg: RunConfig) -> int:
+def cmd_discrepancy(cfg: RunConfig) -> str | None:
     spec = cfg.spec()
     if cfg.d != 1:
         raise ValueError("the discrepancy trend command is 1-D; use the library for d > 1")
@@ -337,10 +326,9 @@ def cmd_discrepancy(cfg: RunConfig) -> int:
         f"D* trend over {cfg.n_seeds} seeds: final median {float(med[-1]):.5f}"
         + (f" (report: {written})" if written else "")
     )
-    return 0
 
 
-def cmd_covariance(cfg: RunConfig) -> int:
+def cmd_covariance(cfg: RunConfig) -> str | None:
     spec = cfg.spec()
     m = cfg.multi_index()
     payload = {}
@@ -379,10 +367,10 @@ def cmd_covariance(cfg: RunConfig) -> int:
         f"far-pair covariance verdict: {check.verdict}"
         f" (max |cov| {check.empirical_max:.6f}, c_hat {check.c_hat:.6f})"
     )
-    return 2 if check.verdict == "fail" else 0
+    return check.verdict
 
 
-def cmd_wcud(cfg: RunConfig) -> int:
+def cmd_wcud(cfg: RunConfig) -> str | None:
     spec = cfg.spec()
     diag = wcud_check(
         spec,
@@ -408,10 +396,10 @@ def cmd_wcud(cfg: RunConfig) -> int:
     ]
     _write_report(cfg, payload, rows, ("N", "mean_abs_s_over_n", "stderr"))
     print(f"wcud verdict: {verdict} (final E|S_N|/N = {diag.s_over_n[-1]:.6f})")
-    return 2 if verdict == "refuted" else 0
+    return verdict
 
 
-def cmd_degenerate(cfg: RunConfig) -> int:
+def cmd_degenerate(cfg: RunConfig) -> str | None:
     family = FAMILY_ALIASES[cfg.family]
     if family == "weyl_power":
         m = degenerate_m_weyl(cfg.power)
@@ -422,10 +410,9 @@ def cmd_degenerate(cfg: RunConfig) -> int:
     payload = {"family": family, "m": list(m.components)}
     _write_report(cfg, payload)
     print(str(m))
-    return 0
 
 
-def cmd_gamma(cfg: RunConfig) -> int:
+def cmd_gamma(cfg: RunConfig) -> str | None:
     gamma = GammaStream(default_bit_source(cfg.master_rng_seed, cfg.seed_bits), cfg.bits)
     uniforms = gamma.uniforms(cfg.count)
     table = gamma.index_table(cfg.count)
@@ -437,7 +424,6 @@ def cmd_gamma(cfg: RunConfig) -> int:
     _write_report(cfg, payload)
     for row in table:
         print(" ".join(str(v) for v in row))
-    return 0
 
 
 _HANDLERS = {
@@ -449,16 +435,19 @@ _HANDLERS = {
     "degenerate": cmd_degenerate,
     "gamma": cmd_gamma,
 }
+# in --help order
+COMMANDS = tuple(_HANDLERS)
 
 
 def run(cfg: RunConfig) -> int:
-    """Validate and execute one run; returns the process exit code."""
+    """Validate and execute one run; returns the exit code of its verdict."""
     try:
         cfg.validate()
-        return _HANDLERS[cfg.command](cfg)
+        verdict = _HANDLERS[cfg.command](cfg)
     except (EquidistError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 2 if verdict in ("refuted", "fail") else 0
 
 
 # -- argument parsing --------------------------------------------------------
@@ -489,7 +478,7 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--N", dest="n_max", type=int, help="sequence length")
     p.add_argument("--m-radius", dest="m_radius", type=int)
     p.add_argument("--m", dest="m_components", help="comma-separated multi-index")
-    p.add_argument("--H", dest="big_h", type=int, help="ETK truncation radius")
+    p.add_argument("--H", dest="big_h", type=int, help="recorded in the report config, never read")
     p.add_argument("--n-seeds", dest="n_seeds", type=int)
     p.add_argument("--seed-bits", dest="seed_bits", type=int)
     p.add_argument("--master-seed", dest="master_rng_seed", type=int)

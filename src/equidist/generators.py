@@ -9,9 +9,13 @@ Every family is read through one indexed reader, `_samples_at`: it takes
 generator indices in any order, repeats allowed, and returns the samples
 in the caller's order, exact residues for the integer families and
 `FixedPointReal` values of frac(t^k) for koksma.  `residue_stream`,
-`beta_stream` and the float crossing `_scalars_at` are views over it; a
-koksma sample takes `.frac()` once more when it becomes a float, since the
-rescale to the target width can round it up to exactly 1.
+`beta_stream` and the float crossing `_scalars_at` are views over it.
+
+Every sample is a ratio of integers (`UnitSample.ratio`): residue / q, or
+koksma's mantissa / 2^64 after `frac` wraps a rescale that rounded up to 1.
+Exact phases reduce a point's ratios over the lcm of their denominators
+(`weyl._exact_phases`); floats come only from `unit_float`, one correct
+rounding clamped below 1, so a mantissa of 2^64 - 1 is 1 - 2^-53, not 1.0.
 
 Multidimensional points come from two constructions over scalar streams:
 interleaved blocks over d independent seeds, or sliding/shifted windows
@@ -203,15 +207,24 @@ class UnitSample:
         return self.residue is not None
 
     @property
-    def value(self) -> Fraction:
+    def ratio(self) -> tuple[int, int]:
+        """The sample as (numerator, denominator): (residue, q) or koksma's
+        (frac mantissa, 2^frac_bits)."""
         if self.exact:
-            return Fraction(self.residue, self.denominator)
-        return self.fixed.frac().to_fraction()
+            return self.residue, self.denominator
+        return _frac_ratio(self.fixed)
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(*self.ratio)
 
     def as_float(self) -> float:
-        if self.exact:
-            return unit_float(self.residue, self.denominator)
-        return self.fixed.frac().to_float()
+        return unit_float(*self.ratio)
+
+
+def _frac_ratio(x: FixedPointReal) -> tuple[int, int]:
+    f = x.frac()
+    return f.mantissa, 1 << f.frac_bits
 
 
 def unit_float(numerator: int, denominator: int) -> float:
@@ -236,9 +249,8 @@ def _samples_at(spec: GeneratorSpec, seed: RationalSeed, indices: list[int]) -> 
 
     Indices may repeat and come in any order.  Integer-coefficient families
     give exact residues c_k * p mod q (beta_k = residue / q); koksma gives
-    frac(t^k) as a `FixedPointReal` of POWER_STREAM_FRAC_BITS bits.  Its
-    rescale can round a sample up to exactly 1, so a koksma sample crosses
-    into a float as `.frac().to_float()`, as `UnitSample.as_float` does.
+    frac(t^k) as a `FixedPointReal` of POWER_STREAM_FRAC_BITS bits, read as
+    a ratio through `_frac_ratio`.
 
     The recurrence families walk the sorted distinct indices once and carry
     the recurrence across every gap: factorial multiplies through the
@@ -309,19 +321,15 @@ def residue_stream(
         raise ValueError("count must be nonnegative")
     if not spec.exact:
         raise ValueError("koksma has no exact residue path; use beta_stream")
-    return _samples_at(spec, seed, stream_indices(spec, count)), seed.denominator
+    return _samples_at(spec, seed, _indices_at(spec, range(1, count + 1))), seed.denominator
 
 
-def stream_indices(spec: GeneratorSpec, count: int) -> list[int]:
-    """Generator indices of the first `count` outputs (permutation applied)."""
-    return _indices_at(spec, list(range(1, count + 1)))
-
-
-def _indices_at(spec: GeneratorSpec, positions: list[int]) -> list[int]:
+def _indices_at(spec: GeneratorSpec, positions) -> list[int]:
     """Generator indices at 1-based output positions (permutation applied).
 
-    Without a permutation the indices are the positions, same list.
+    Without a permutation the indices are the positions, as a list.
     """
+    positions = list(positions)
     if spec.permutation is None:
         return positions
     indices = [_descriptor_at(spec.permutation, i) for i in positions]
@@ -343,7 +351,7 @@ def beta_stream(spec: GeneratorSpec, seed: RationalSeed, count: int) -> list[Uni
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    indices = stream_indices(spec, count)
+    indices = _indices_at(spec, range(1, count + 1))
     samples = _samples_at(spec, seed, indices)
     if spec.exact:
         q = seed.denominator
@@ -354,21 +362,15 @@ def beta_stream(spec: GeneratorSpec, seed: RationalSeed, count: int) -> list[Uni
 # -- window constructions ------------------------------------------------
 
 
-def interleaved_vectors(
-    spec: GeneratorSpec, seeds, count: int, d: int | None = None
-) -> list[tuple[UnitSample, ...]]:
+def interleaved_vectors(spec: GeneratorSpec, seeds, count: int) -> list[tuple[UnitSample, ...]]:
     """d-dimensional points from d seeds of one family, interleaved blocks.
 
     Coordinate j of point k is x_{(k-1)d+j}(t_j) mod 1: each coordinate
     runs the same family at its own seed while the index sweeps through
-    all the integers block by block.  d defaults to the seed count and is
-    checked against it when given.
+    all the integers block by block.  d is the seed count.
     """
     seeds = list(seeds)
-    if d is None:
-        d = len(seeds)
-    if len(seeds) != d:
-        raise ValueError(f"{len(seeds)} seeds for d={d} coordinates")
+    d = len(seeds)
     if d < 1:
         raise ValueError("need at least one seed")
     if count < 0:
@@ -393,14 +395,14 @@ def residues_to_floats(residues, denominator: int) -> np.ndarray:
 def _scalars_at(spec: GeneratorSpec, seed: RationalSeed, positions) -> np.ndarray:
     """Float samples at 1-based stream positions, in the caller's order.
 
-    The one place samples cross into floats, one rounding each: exact
-    residues through `residues_to_floats`, koksma's fixed-point samples as
-    `.frac().to_float()`.  Positions may repeat and come in any order.
+    The one place samples cross into floats, one `unit_float` rounding
+    each: exact residues over q, koksma's samples as their `_frac_ratio`.
+    Positions may repeat and come in any order.
     """
-    samples = _samples_at(spec, seed, _indices_at(spec, list(positions)))
+    samples = _samples_at(spec, seed, _indices_at(spec, positions))
     if spec.exact:
         return residues_to_floats(samples, seed.denominator)
-    return np.array([s.frac().to_float() for s in samples], dtype=float)
+    return np.fromiter((unit_float(*_frac_ratio(s)) for s in samples), dtype=float)
 
 
 def stream_floats(stream) -> np.ndarray:
@@ -442,13 +444,3 @@ def export_stream_csv(path, stream) -> None:
             for s in stream:
                 writer.writerow([s.k, repr(s.as_float())])
 
-
-def read_index_file(path) -> tuple[int, ...]:
-    """One positive integer per line; blank lines and # comments skipped."""
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                out.append(int(line))
-    return tuple(out)

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arithmetic import RationalSeed, SeedSampler, sample_seed
+from .arithmetic import RationalSeed, SeedSampler
 from .generators import (
     GeneratorSpec,
     WindowConfig,
@@ -95,11 +95,6 @@ def _window_sums(spec: GeneratorSpec, cfg: WindowConfig, m: MultiIndex, ks) -> d
     positions = sorted({p for row in rows for p in row})
     coeffs = dict(zip(positions, (_coefficient(spec, a) for a in _indices_at(spec, positions))))
     return {k: sum(c * coeffs[p] for c, p in zip(m.components, row)) for k, row in zip(ks, rows)}
-
-
-def exact_frequency_factorial(k: int, l: int, m) -> int:
-    """sum_i m_i ((k+i-1)! - (l+i-1)!), the factorial-family frequency."""
-    return exact_frequency(GeneratorSpec.factorial(), k, l, m)
 
 
 @dataclass(frozen=True)
@@ -206,7 +201,7 @@ def _draw_seeds(interval, n_seeds: int, master_seed: int, bit_width: int) -> lis
 @functools.lru_cache(maxsize=16)
 def _seed_set(interval, n_seeds: int, master_seed: int, bit_width: int) -> tuple[RationalSeed, ...]:
     sampler = SeedSampler(master_seed, bit_width)
-    return tuple(sample_seed(sampler, interval) for _ in range(n_seeds))
+    return tuple(sampler.sample(interval) for _ in range(n_seeds))
 
 
 def _pmap(fn, items, workers: int):

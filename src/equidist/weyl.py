@@ -7,10 +7,13 @@ trajectory pinned at magnitude 1 certifies the opposite: the phases
 m . beta_k are constant, and m is a degenerate direction for the family.
 
 Numerical contract.  Exact points (UnitSample vectors or rational tuples)
-have the phase m . beta_k reduced mod 1 in integer/rational arithmetic
-and rounded to float once.  Float points, which is what `criterion_scan`
-and the stochastic module consume, carry one rounding per scalar sample
-(made in `generators._scalars_at`); their phases are reduced once as
+are ratios of integers n_j / q_j per coordinate (`UnitSample.ratio`: a
+residue over q, or a koksma mantissa over 2^64).  The phase m . beta_k is
+reduced mod 1 as one integer over L = lcm(q_j) and rounded to float once
+by `generators.unit_float`, which clamps below 1 the ratios that round up
+to 1.0.  Float points, which is what `criterion_scan` and the stochastic
+module consume, carry one rounding per scalar sample, made by the same
+`unit_float` in `generators._scalars_at`; their phases are reduced once as
 m . x mod 1 in double precision (`_float_phases`), which puts each phase
 within a small multiple of sum_j |m_j| * 2^-53 of the exact one.  Both
 paths then share one e(phase) kernel (`_unit_phasors`) and compensated
@@ -213,27 +216,18 @@ def _series_from_phases(m, phases: np.ndarray, cps) -> WeylSeries:
 
 
 def _exact_phases(points, m: MultiIndex) -> np.ndarray:
-    """Phases m . beta_k mod 1, reduced exactly, one float rounding each."""
+    """Phases m . beta_k mod 1, one integer reduction over lcm(q_j), one rounding each."""
     comps = m.components
     out = np.empty(len(points), dtype=float)
     for i, vec in enumerate(points):
         if len(vec) != len(comps):
             raise ValueError("point dimension does not match multi-index")
-        first = vec[0]
-        if isinstance(first, UnitSample) and first.exact:
-            q = first.denominator
-            if all(isinstance(s, UnitSample) and s.exact and s.denominator == q for s in vec):
-                dot = 0
-                for c, s in zip(comps, vec):
-                    dot += c * s.residue
-                out[i] = unit_float(dot % q, q)
-                continue
-        total = Fraction(0)
-        for c, s in zip(comps, vec):
-            value = s.value if isinstance(s, UnitSample) else Fraction(s)
-            total += c * value
-        total -= math.floor(total)
-        out[i] = unit_float(total.numerator, total.denominator)
+        ratios = [
+            s.ratio if isinstance(s, UnitSample) else Fraction(s).as_integer_ratio() for s in vec
+        ]
+        lcm = math.lcm(*(q for _, q in ratios))
+        dot = sum(c * n * (lcm // q) for c, (n, q) in zip(comps, ratios))
+        out[i] = unit_float(dot % lcm, lcm)
     return out
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from equidist.arithmetic import SeedSampler, sample_seed
+from equidist.arithmetic import SeedSampler
 from equidist.discrepancy import (
     etk_bound,
     star_discrepancy_1d,
@@ -30,7 +30,7 @@ from equidist.stochastic import (
     c_of_m_scan,
     default_bit_source,
     del_criterion,
-    exact_frequency_factorial,
+    exact_frequency,
     gamma_index,
     gamma_stream,
     mc_moment,
@@ -90,7 +90,7 @@ def geometric_weyl(theta: Fraction, n: int) -> complex:
 
 def test_criterion_01_degenerate_multiplicative_pair():
     t0 = time.perf_counter()
-    seed = sample_seed(SeedSampler(101))
+    seed = SeedSampler(101).sample()
     cfg = WindowConfig(d=2, h=1)
     pts = scan_points(GeneratorSpec.multiplicative(2), seed, cfg, 10_000)
     series = weyl_sum(pts, (2, -1), checkpoints=checkpoint_grid(10_000))
@@ -113,7 +113,7 @@ def test_criterion_02_degenerate_weyl_vectors():
         m = degenerate_m_weyl(p)
         want = tuple((-1) ** j * math.comb(p, j) for j in range(p + 1))
         assert m.components == want, f"p={p}: {m.components} != {want}"
-        seed = sample_seed(sampler)
+        seed = sampler.sample()
         pts = scan_points(GeneratorSpec.weyl(p), seed, WindowConfig(d=p + 1, h=1), 2000)
         series = weyl_sum(pts, m.components, checkpoints=checkpoint_grid(2000))
         worst = max(worst, max(abs(v - 1.0) for v in series.magnitudes))
@@ -132,7 +132,7 @@ def test_criterion_03_geometric_closed_form():
     cfg = WindowConfig(d=1, h=1)
     worst = 0.0
     for _ in range(16):
-        seed = sample_seed(sampler)
+        seed = sampler.sample()
         t = Fraction(seed.numerator, seed.denominator)
         scan = criterion_scan(GeneratorSpec.weyl(1), seed, cfg, 5, 10_000)
         for j in range(1, 6):
@@ -198,7 +198,7 @@ def test_criterion_05_exact_orthogonality_certificates():
         l = rng.randint(1, 40)
         k = l + rng.randint(c + 1, c + 40)
         triples.append((k, l, comps))
-    nonzero = sum(1 for k, l, comps in triples if exact_frequency_factorial(k, l, comps) != 0)
+    nonzero = sum(1 for k, l, comps in triples if exact_frequency(FACTORIAL, k, l, comps) != 0)
     within = 0
     for k, l, comps in rng.sample(triples, 50):
         est = mc_moment(
@@ -224,7 +224,7 @@ def test_criterion_05_exact_orthogonality_certificates():
 def test_criterion_06_factorial_complete_equidistribution():
     t0 = time.perf_counter()
     n = 100_000
-    seeds = [sample_seed(SeedSampler(301).spawn(i)) for i in range(32)]
+    seeds = [SeedSampler(301).spawn(i).sample() for i in range(32)]
     hits = {(d, m.components): 0 for d in (1, 2, 3) for m in canonical_half(d, 3)}
     for seed in seeds:
         floats = stream_floats(beta_stream(FACTORIAL, seed, n + 2))
@@ -254,7 +254,7 @@ def test_criterion_07_koksma_desk_scale():
     cps = checkpoint_grid(2000)
     table = []
     for _ in range(32):
-        seed = sample_seed(sampler, spec.seed_interval())
+        seed = sampler.sample(spec.seed_interval())
         values = stream_floats(beta_stream(spec, seed, 2000))
         table.append([star_discrepancy_1d(values[:n]).value for n in cps])
     mat = np.array(table)

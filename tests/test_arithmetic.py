@@ -1,4 +1,4 @@
-"""Exact arithmetic kernel: primes, seeds, modular helpers, fixed point."""
+"""Exact arithmetic kernel: primes, seeds, factorials mod q, fixed point."""
 
 import math
 import random
@@ -17,14 +17,12 @@ from equidist.arithmetic import (
     RationalSeed,
     SeedSampler,
     _dlp_rounds,
-    factorial_mod,
     fixed_point_pow,
     fixed_point_power_stream,
     is_probable_prime,
-    modpow,
-    sample_seed,
 )
 from equidist.errors import IntervalWidthError, PrecisionBudgetError
+from equidist.generators import GeneratorSpec, _samples_at
 
 
 def _reference_miller_rabin(n: int, rounds: int = 40) -> bool:
@@ -157,49 +155,33 @@ class TestRoundCount:
         assert [is_probable_prime(n) for n in range(limit)] == sieve
 
 
-class TestModpow:
-    def test_basic(self):
-        assert modpow(2, 10, 1000) == 24
-
-    def test_zero_exponent(self):
-        for b in (0, 1, 5, 10**30):
-            for m in (2, 7, 1000):
-                assert modpow(b, 0, m) == 1
-
-    def test_fermat(self):
-        # 251 is prime, so 7^251 = 7 (mod 251); cross-check by direct power
-        assert modpow(7, 251, 251) == 7
-        assert 7**251 % 251 == 7
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            modpow(2, 3, 1)
-        with pytest.raises(ValueError):
-            modpow(2, -1, 5)
-
-
 class TestFactorialMod:
+    """k! mod q, read through the factorial family at the seed 1/q."""
+
+    @staticmethod
+    def _factorials(q: int, ks) -> list[int]:
+        seed = RationalSeed(1, q, prime_denominator=False)
+        return _samples_at(GeneratorSpec.factorial(), seed, list(ks))
+
     def test_example(self):
-        assert factorial_mod(5, 7) == 1
+        assert self._factorials(7, [5]) == [1]
 
     def test_recurrence_consistency(self):
-        prev = factorial_mod(4, 7)
-        assert prev == 24 % 7 == 3
-        assert factorial_mod(5, 7, prev=prev) == 1
+        # the walk carries 4! into 5!, in either read order
+        assert self._factorials(7, [4, 5]) == [24 % 7, 1]
+        assert self._factorials(7, [5, 4]) == [1, 3]
 
     def test_brute_force_oracle(self):
         rng = random.Random(5)
         moduli = [rng.randrange(2, 2**20) for _ in range(20)]
         for q in moduli:
-            for k in range(1, 13):
-                assert factorial_mod(k, q) == math.factorial(k) % q
+            assert self._factorials(q, range(1, 13)) == [
+                math.factorial(k) % q for k in range(1, 13)
+            ]
 
     def test_nonzero_below_denominator(self):
         q = 2**31 - 1  # Mersenne prime
-        acc = None
-        for k in range(1, 200):
-            acc = factorial_mod(k, q, prev=acc)
-            assert acc != 0
+        assert all(self._factorials(q, range(1, 200)))
 
 
 class TestRationalSeed:
@@ -244,7 +226,7 @@ class TestSeedSampler:
         assert 0 < p < q and math.gcd(p, q) == 1
 
     def test_default_width_draw(self):
-        seed = sample_seed(SeedSampler(3))
+        seed = SeedSampler(3).sample()
         assert seed.denominator.bit_length() == 256
         assert _reference_miller_rabin(seed.denominator)
         assert Fraction(0) < seed.value < Fraction(1)

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equidist.arithmetic import RationalSeed, SeedSampler
+from equidist import generators
+from equidist.arithmetic import FixedPointReal, RationalSeed, SeedSampler
 from equidist.errors import StreamLengthError
 from equidist.generators import (
     ArithmeticIndices,
@@ -19,7 +20,6 @@ from equidist.generators import (
     beta_stream,
     export_stream_csv,
     interleaved_vectors,
-    read_index_file,
     _samples_at,
     _scalars_at,
     residue_stream,
@@ -149,6 +149,21 @@ class TestUnitSample:
         assert float(Fraction(q - 1, q)) == 1.0
         assert unit_float(q - 1, q) == math.nextafter(1.0, 0.0)
 
+    def test_koksma_crossing_clamps_below_one(self, monkeypatch):
+        # a 64-bit mantissa of 2^64 - 1 rounds to 1.0 as a double
+        top = FixedPointReal(2**64 - 1, 64)
+        assert top.to_float() == 1.0
+        below_one = math.nextafter(1.0, 0.0)
+        sample = UnitSample(k=1, fixed=top)
+        assert sample.as_float() == below_one
+        assert sample.ratio == (2**64 - 1, 2**64)
+        assert stream_floats([sample]).tolist() == [below_one]
+        monkeypatch.setattr(generators, "_samples_at", lambda spec, seed, indices: [top])
+        seed = RationalSeed(3, 2, interval=(Fraction(1), Fraction(2)))
+        floats = _scalars_at(GeneratorSpec.koksma(), seed, [1])
+        assert floats.tolist() == [below_one]
+        assert star_discrepancy_1d(floats).value == below_one
+
 
 class TestWindows:
     def test_disjoint_blocks(self):
@@ -205,8 +220,8 @@ class TestInterleaved:
         )
 
     def test_seed_arity_error(self):
-        with pytest.raises(ValueError):
-            interleaved_vectors(GeneratorSpec.weyl(1), [THIRD, FIFTH], 2, d=3)
+        with pytest.raises(ValueError, match="at least one seed"):
+            interleaved_vectors(GeneratorSpec.weyl(1), [], 2)
 
     def test_rejects_permuted_spec(self):
         spec = GeneratorSpec.weyl(1).permuted([2, 1])
@@ -253,11 +268,6 @@ class TestStreamSerialization:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "k,value"
         assert float(lines[3].split(",")[1]) == 0.375
-
-    def test_read_index_file(self, tmp_path):
-        path = tmp_path / "perm.txt"
-        path.write_text("# comment\n3\n1\n\n5\n")
-        assert read_index_file(path) == (3, 1, 5)
 
 
 class TestResidueStream:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equidist import stochastic
-from equidist.arithmetic import RationalSeed, SeedSampler, sample_seed
+from equidist.arithmetic import RationalSeed, SeedSampler
 from equidist.generators import ArithmeticIndices, GeneratorSpec, WindowConfig
 from equidist.stochastic import (
     BytesBitSource,
@@ -22,7 +22,6 @@ from equidist.stochastic import (
     default_bit_source,
     del_criterion,
     exact_frequency,
-    exact_frequency_factorial,
     gamma_index,
     gamma_stream,
     lemma2_decay_fit,
@@ -41,7 +40,7 @@ D2 = WindowConfig(d=2, h=1)
 class TestExactFrequency:
     def test_factorial_single_component(self):
         # 3! - 2! = 4
-        assert exact_frequency_factorial(3, 2, (1,)) == 4
+        assert exact_frequency(FACTORIAL, 3, 2, (1,)) == 4
 
     def test_weyl_square_pair(self):
         # (9 - 1) - (16 - 4) = -4
@@ -71,7 +70,7 @@ class TestExactFrequency:
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
-            exact_frequency_factorial(1, 0, (1,))
+            exact_frequency(FACTORIAL, 1, 0, (1,))
 
     @given(
         st.integers(min_value=1, max_value=30),
@@ -83,10 +82,8 @@ class TestExactFrequency:
         if all(c == 0 for c in comps):
             comps[0] = 1
         m = tuple(comps)
-        assert exact_frequency_factorial(k, l, m) == -exact_frequency_factorial(
-            l, k, m
-        )
-        assert exact_frequency_factorial(k, k, m) == 0
+        assert exact_frequency(FACTORIAL, k, l, m) == -exact_frequency(FACTORIAL, l, k, m)
+        assert exact_frequency(FACTORIAL, k, k, m) == 0
 
 
 class TestCOfMScan:

@@ -1,6 +1,7 @@
 """Weyl sums, multi-index lattices, checkpoints, degenerate certificates."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equidist.arithmetic import RationalSeed, SeedSampler, sample_seed
-from equidist.generators import GeneratorSpec, UnitSample, WindowConfig
+from equidist.arithmetic import FixedPointReal, RationalSeed, SeedSampler
+from equidist.generators import (
+    GeneratorSpec,
+    UnitSample,
+    WindowConfig,
+    beta_stream,
+    interleaved_vectors,
+    unit_float,
+)
 from equidist.weyl import (
     MultiIndex,
     WeylSeries,
+    _exact_phases,
     canonical_half,
     checkpoint_grid,
     criterion_scan,
@@ -73,6 +82,58 @@ class TestMultiIndex:
         assert {m.components for m in half} | {(-m).components for m in half} == full
 
 
+def _fraction_phases(points, m) -> np.ndarray:
+    """Reference reduction: the phase as a Fraction sum, floor-reduced, rounded once."""
+    out = []
+    for vec in points:
+        total = Fraction(0)
+        for c, s in zip(m, vec):
+            if isinstance(s, UnitSample):
+                s = Fraction(s.residue, s.denominator) if s.exact else s.fixed.frac().to_fraction()
+            total += c * Fraction(s)
+        total -= math.floor(total)
+        out.append(unit_float(total.numerator, total.denominator))
+    return np.array(out, dtype=float)
+
+
+def _sliding_points(spec, n=300, d=3):
+    seed = SeedSampler(2, bit_width=64).sample(spec.seed_interval())
+    stream = beta_stream(spec, seed, n + d - 1)
+    return [tuple(stream[k : k + d]) for k in range(n)]
+
+
+def _interleaved_points(n=300):
+    sampler = SeedSampler(11, bit_width=64)
+    seeds = [sampler.sample() for _ in range(3)]
+    assert len({s.denominator for s in seeds}) == 3
+    return interleaved_vectors(GeneratorSpec.factorial(), seeds, n)
+
+
+def _fraction_points(n=300):
+    rng = random.Random(7)
+    return [
+        tuple(Fraction(rng.randrange(-50, 50), rng.randrange(1, 40)) for _ in range(3))
+        for _ in range(n)
+    ]
+
+
+def _edge_points():
+    top = UnitSample(k=1, fixed=FixedPointReal(2**64 - 1, 64))
+    third = UnitSample(k=2, residue=1, denominator=3)
+    return [(top, third, Fraction(1, 2)), (top, top, top), (third, 1, top)]
+
+
+EXACT_POINTS = {
+    "factorial": lambda: _sliding_points(GeneratorSpec.factorial()),
+    "multiplicative3": lambda: _sliding_points(GeneratorSpec.multiplicative(3)),
+    "weyl2": lambda: _sliding_points(GeneratorSpec.weyl(2)),
+    "interleaved_mixed_q": _interleaved_points,
+    "koksma": lambda: _sliding_points(GeneratorSpec.koksma()),
+    "fraction_tuples": _fraction_points,
+    "top_mantissa": _edge_points,
+}
+
+
 class TestWeylSum:
     def test_single_quarter_point(self):
         points = [(UnitSample(k=1, residue=1, denominator=4),)]
@@ -100,6 +161,14 @@ class TestWeylSum:
             a = weyl_sum(pts, m).values[0]
             b = weyl_sum(exact_pts, m).values[0]
             assert abs(a - b) < 1e-12
+
+    @pytest.mark.parametrize("case", sorted(EXACT_POINTS))
+    def test_exact_phases_match_fraction_reference(self, case):
+        points = EXACT_POINTS[case]()
+        for m in ((1, 0, 0), (1, -2, 3), (3, 1, -1), (0, 2, -5), (-1, 1, 1)):
+            got = _exact_phases(points, MultiIndex(m))
+            assert got.tobytes() == _fraction_phases(points, m).tobytes()
+            assert np.all((got >= 0.0) & (got < 1.0))
 
     def test_non_canonical_m_is_conjugate(self):
         xs = np.random.default_rng(5).random((64, 2))
@@ -164,7 +233,7 @@ class TestCriterionScan:
         }
 
     def test_degenerate_pair_flagged(self):
-        seed = sample_seed(SeedSampler(7))
+        seed = SeedSampler(7).sample()
         scan = criterion_scan(
             GeneratorSpec.multiplicative(2), seed, WindowConfig(d=2, h=1), 2, 2000
         )
@@ -209,7 +278,7 @@ class TestDegenerateCertificates:
 
     def test_degenerate_weyl_sum_is_unimodular(self):
         p = 3
-        seed = sample_seed(SeedSampler(13))
+        seed = SeedSampler(13).sample()
         scan = criterion_scan(
             GeneratorSpec.weyl(p), seed, WindowConfig(d=p + 1, h=1), 3, 500
         )
@@ -218,7 +287,7 @@ class TestDegenerateCertificates:
         assert all(abs(v - 1.0) < 1e-12 for v in series.magnitudes)
 
     def test_multiplicative_exact_magnitude_one(self):
-        seed = sample_seed(SeedSampler(19))
+        seed = SeedSampler(19).sample()
         scan = criterion_scan(
             GeneratorSpec.multiplicative(3), seed, WindowConfig(d=2, h=1), 3, 1000
         )
