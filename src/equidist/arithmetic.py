@@ -30,9 +30,9 @@ bases from an rng keyed on n, so the first t bases are those of the 48-round
 test and a different prime is drawn only if a composite passes them.  Each
 proved prime is remembered, so the seed built from it is not proved again.
 
-Power sequences t^k are irrational in t and get a fixed-point carrier
-(`FixedPointReal`) whose worst-case error in units of the last place is
-propagated, never reset, through every multiply and rescale.
+Power sequences t^k get a fixed-point carrier (`FixedPointReal`) whose error
+in ulps is propagated, never reset.  The koksma stream jumps the exact seed
+by p^g / q^g between indices read and settles any sample frac leaves ambiguous.
 """
 
 from __future__ import annotations
@@ -318,7 +318,7 @@ class FixedPointReal:
         true value sits within err_ulps of an integer the true and
         represented fractional parts can land on opposite sides of it.
         Callers needing certainty must check err_ulps against the distance
-        to the nearest integer boundary.
+        to the nearest integer boundary, as `fixed_point_power_stream` does.
         """
         return FixedPointReal(
             self.mantissa % (1 << self.frac_bits), self.frac_bits, self.err_ulps
@@ -372,37 +372,49 @@ def fixed_point_pow(
     return acc.rescale(target_frac_bits)
 
 
-def fixed_point_power_stream(t: Fraction, count: int, hi: Fraction):
-    """Yield frac(t^k) for k = 1..count as error-tracked fixed-point values.
+def fixed_point_power_stream(t: Fraction, indices, hi: Fraction):
+    """Yield frac(t^k) at strictly ascending indices k >= 1, error-tracked.
 
-    One full-width multiply per step at P = ceil(count*log2 hi) + 1 +
-    POWER_STREAM_GUARD_BITS fractional bits, hi being the supremum of the
-    seed interval.  The accumulated error at step k is ~k*t^k working ulps,
-    so after the rescale to POWER_STREAM_FRAC_BITS every sample carries an
-    err_ulps of only a few target ulps.  count is capped at
-    DEFAULT_MAX_POWER_STEPS and P at DEFAULT_MAX_WORK_BITS (either raises
-    PrecisionBudgetError), because the cost per step grows linearly with
-    the working width.
+    The exact seed t = p/q is stepped at W = ceil(K log2 hi) + 1 +
+    POWER_STREAM_GUARD_BITS bits (K the last index, hi the interval's sup):
+    m ~ t^k 2^W starts exact at 2^W (k = 0), and a gap g is one step
+    m' = round(m p^g / q^g), p^g and q^g reused while g repeats.  As m t^g -
+    t^(k+g) 2^W = (m - t^k 2^W) t^g, the bound err on |m - t^k 2^W| steps to
+    ceil(err p^g / q^g) + [inexact] < err t^g + 2: err < 2k t^k < 2^(W-64),
+    and each sample FixedPointReal(m, W, err).frac().rescale(
+    POWER_STREAM_FRAC_BITS) carries 1-2 ulps, unless m mod 2^W lies within
+    err of an integer: then it is settled exactly from (p^k mod q^k) / q^k.
+    A step costs O(W), the ~2W-bit m times a g-word power, not a W x W
+    multiply per index up to K.  m and the settle still grow with K log2 hi,
+    so the caps on K (DEFAULT_MAX_POWER_STEPS) and W (DEFAULT_MAX_WORK_BITS) stay.
     """
-    t = _as_fraction(t)
-    hi = _as_fraction(hi)
+    t, hi = _as_fraction(t), _as_fraction(hi)
     if not 1 < t < hi:
         raise ValueError(f"seed {t} outside (1, {hi})")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    if count > DEFAULT_MAX_POWER_STEPS:
-        raise PrecisionBudgetError(
-            f"count={count} exceeds the power-stream cap {DEFAULT_MAX_POWER_STEPS}"
-        )
+    indices = list(indices)
+    steps = list(zip([0] + indices, indices))
+    if any(k >= target for k, target in steps):
+        raise ValueError("indices must be strictly ascending and positive")
+    last = indices[-1] if indices else 0
+    if last > DEFAULT_MAX_POWER_STEPS:
+        raise PrecisionBudgetError(f"index {last} exceeds the step cap {DEFAULT_MAX_POWER_STEPS}")
     lg_hi = math.log2(hi.numerator) - math.log2(hi.denominator)
-    work = math.ceil(count * lg_hi) + 1 + POWER_STREAM_GUARD_BITS
+    work = math.ceil(last * lg_hi) + 1 + POWER_STREAM_GUARD_BITS
     if work > DEFAULT_MAX_WORK_BITS:
         raise PrecisionBudgetError(
-            f"count={count} in (1, {hi}) needs {work} working bits, "
-            f"cap is {DEFAULT_MAX_WORK_BITS}"
+            f"index {last} in (1, {hi}) needs {work} working bits, cap is {DEFAULT_MAX_WORK_BITS}"
         )
-    base = FixedPointReal.from_fraction(t, work)
-    acc = base
-    for _ in range(count):
-        yield acc.frac().rescale(POWER_STREAM_FRAC_BITS)
-        acc = acc.mul(base)
+    p, q, one = t.numerator, t.denominator, 1 << work
+    m, err, gap = one, 0, None
+    for k, target in steps:
+        if target - k != gap:
+            gap = target - k
+            p_gap, q_gap = p**gap, q**gap
+        m, inexact = _round_div(m * p_gap, q_gap)
+        err = -(-err * p_gap // q_gap) + inexact
+        if err < (wrapped := m & (one - 1)) < one - err:
+            yield FixedPointReal(wrapped, work, err).rescale(POWER_STREAM_FRAC_BITS)
+        else:  # frac(t^k) within err of an integer: settle it exactly
+            q_k = q**target
+            exact, inexact = _round_div((p**target % q_k) << POWER_STREAM_FRAC_BITS, q_k)
+            yield FixedPointReal(exact, POWER_STREAM_FRAC_BITS, int(inexact))

@@ -3,7 +3,7 @@
 A generator family maps an index k and a seed t to x_k(t); the unit-cube
 sample is beta_k = x_k(t) mod 1.  The integer-coefficient families reduce
 exactly: beta_k = (c_k * p mod q) / q for t = p/q.  The power family t^k
-has no such reduction and runs on the fixed-point carrier instead.
+has none; it jumps the exact seed by t^gap on the fixed-point carrier.
 
 Every family is read through one indexed reader, `_samples_at`: it takes
 generator indices in any order, repeats allowed, and returns the samples
@@ -255,8 +255,8 @@ def _samples_at(spec: GeneratorSpec, seed: RationalSeed, indices: list[int]) -> 
     The recurrence families walk the sorted distinct indices once and carry
     the recurrence across every gap: factorial multiplies through the
     skipped k, multiplicative multiplies by base^gap mod q, and koksma
-    steps the power stream up to the largest index.  The other families
-    are direct: k * p for weyl p = 1, one modular power per index otherwise.
+    jumps the exact seed by t^gap (`fixed_point_power_stream`).  The other
+    families are direct: k * p for weyl p = 1, one modular power otherwise.
     """
     lo, hi = spec.seed_interval()
     if not lo < seed.value < hi:
@@ -280,9 +280,7 @@ def _samples_at(spec: GeneratorSpec, seed: RationalSeed, indices: list[int]) -> 
     walk = indices if _ascending(indices) else sorted(set(indices))
     out, acc, k = [], p % q, 0
     if fam == "koksma":
-        want = set(walk)
-        stream = enumerate(fixed_point_power_stream(seed.value, max(walk, default=0), hi), 1)
-        out = [s for k, s in stream if k in want]
+        out = list(fixed_point_power_stream(seed.value, walk, hi))
     elif fam == "factorial":
         for target in walk:
             while k < target:

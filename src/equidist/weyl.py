@@ -234,8 +234,8 @@ def _exact_phases(points, m: MultiIndex) -> np.ndarray:
 def weyl_sum(points, m, checkpoints=None) -> WeylSeries:
     """W_N(m) at the checkpoints for exact or float point sequences.
 
-    Exact points (UnitSample vectors or rational tuples) go through the
-    exact phase reduction; float arrays reduce phases in double precision.
+    Exact points (UnitSample vectors or rational tuples, mixed ones too) go
+    through the exact phase reduction; all-float input reduces in doubles.
     The sum for a non-canonical m is computed on -m and conjugated, so
     W_N(-m) == conj(W_N(m)) holds bit-exactly by construction.
     """
@@ -249,7 +249,7 @@ def weyl_sum(points, m, checkpoints=None) -> WeylSeries:
         cps = _checkpoints_for(pts.shape[0], checkpoints)
         return _series_from_phases(m, _float_phases(pts, m), cps)
     points = list(points)
-    if points and isinstance(points[0], (tuple, list)) and points[0] and isinstance(points[0][0], float):
+    if points and all(isinstance(x, float) for vec in points for x in vec):
         return weyl_sum(np.array(points, dtype=float), m, checkpoints)
     cps = _checkpoints_for(len(points), checkpoints)
     phases = _exact_phases(points[: cps[-1]], m)

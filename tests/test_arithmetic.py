@@ -334,36 +334,92 @@ class TestFixedPointPow:
             fixed_point_pow(Fraction(2, 3), 3, 64)
 
 
+# p^2 - 3 q^2 = 1: t = 3q/p has t^2 = 3 - 3/p^2, just below an integer, and
+# its twin p/q has t^2 = 3 + 1/q^2, just above one.
+PELL_P, PELL_Q = 5170128475599457, 2984975067132296
+
+
+def _within_bound(s: FixedPointReal, t: Fraction, k: int) -> bool:
+    """|s - (p^k mod q^k) / q^k| <= s.err_ulps ulps, in integers (no gcd)."""
+    p, q_k = t.numerator, t.denominator**k
+    return abs(s.mantissa * q_k - ((p**k % q_k) << s.frac_bits)) <= s.err_ulps * q_k
+
+
 class TestPowerStream:
     def test_matches_exact_rational(self):
         t = Fraction(14, 9)
-        for k, s in enumerate(fixed_point_power_stream(t, 50, Fraction(2)), start=1):
+        for k, s in enumerate(fixed_point_power_stream(t, range(1, 51), Fraction(2)), start=1):
             exact = (t**k) % 1
             assert abs(s.to_fraction() - exact) <= s.error_bound()
             assert s.err_ulps <= 4
 
     def test_koksma_cube_example(self):
-        samples = list(fixed_point_power_stream(Fraction(3, 2), 3, Fraction(2)))
+        samples = list(fixed_point_power_stream(Fraction(3, 2), range(1, 4), Fraction(2)))
         assert samples[2].to_fraction() == Fraction(3, 8)
         assert samples[2].err_ulps == 0
 
     def test_step_cap(self):
-        gen = fixed_point_power_stream(Fraction(3, 2), 30_000, Fraction(2))
+        gen = fixed_point_power_stream(Fraction(3, 2), range(1, 30_001), Fraction(2))
         with pytest.raises(PrecisionBudgetError):
             next(gen)
 
     def test_working_bit_cap(self):
-        # hi = 4 costs 2 working bits per step: the last count that fits
+        # hi = 4 costs 2 working bits per index: the last index that fits
         # DEFAULT_MAX_WORK_BITS is far below the step cap
         fits = (DEFAULT_MAX_WORK_BITS - 1 - POWER_STREAM_GUARD_BITS) // 2
         assert fits == 12_239 < DEFAULT_MAX_POWER_STEPS
-        assert next(fixed_point_power_stream(Fraction(3, 2), fits, Fraction(4))).frac_bits == 64
+        dense = fixed_point_power_stream(Fraction(3, 2), range(1, fits + 1), Fraction(4))
+        assert next(dense).frac_bits == 64
         for count in (fits + 1, 12_300):
-            gen = fixed_point_power_stream(Fraction(3, 2), count, Fraction(4))
+            gen = fixed_point_power_stream(Fraction(3, 2), range(1, count + 1), Fraction(4))
             with pytest.raises(PrecisionBudgetError, match="working bits"):
                 next(gen)
 
+    def test_caps_keyed_on_largest_index(self):
+        # a single sparse index costs the width of the dense stream up to it
+        fits = 12_239
+        (s,) = fixed_point_power_stream(Fraction(3, 2), [fits], Fraction(4))
+        assert _within_bound(s, Fraction(3, 2), fits)
+        with pytest.raises(PrecisionBudgetError, match="working bits"):
+            next(fixed_point_power_stream(Fraction(3, 2), [fits + 1], Fraction(4)))
+
     def test_seed_outside_interval(self):
-        gen = fixed_point_power_stream(Fraction(5, 2), 10, Fraction(2))
+        gen = fixed_point_power_stream(Fraction(5, 2), range(1, 11), Fraction(2))
         with pytest.raises(ValueError):
             next(gen)
+
+    @pytest.mark.parametrize("indices", [[2, 1], [1, 1], [0, 1], [3, 5, 4]])
+    def test_rejects_indices_not_strictly_ascending_positive(self, indices):
+        with pytest.raises(ValueError, match="ascending"):
+            next(fixed_point_power_stream(Fraction(3, 2), indices, Fraction(2)))
+
+    @pytest.mark.parametrize(
+        "t", [Fraction(3 * PELL_Q, PELL_P), Fraction(PELL_P, PELL_Q)], ids=["below", "above"]
+    )
+    def test_wrap_hazard_settled_exactly(self, t):
+        # t^2 lies within ~2^-103 of 3, far inside the working error; below
+        # 3, a wrapped mantissa 0 would be ~2^64 ulps off frac(t^2)
+        samples = list(fixed_point_power_stream(t, range(1, 5), Fraction(2)))
+        for k, s in enumerate(samples, start=1):
+            assert _within_bound(s, t, k)
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_sparse_reads_equal_dense_and_exact(self, data):
+        bits = data.draw(st.integers(16, 256))
+        q = data.draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+        t = Fraction(data.draw(st.integers(q + 1, 2 * q - 1)), q)
+        indices = sorted(data.draw(st.sets(st.integers(1, 3000), min_size=1, max_size=12)))
+        dense = list(fixed_point_power_stream(t, range(1, indices[-1] + 1), Fraction(2)))
+        sparse = list(fixed_point_power_stream(t, indices, Fraction(2)))
+        assert sparse == [dense[k - 1] for k in indices]
+        for k, s in zip(indices, sparse):
+            assert _within_bound(s, t, k)
+        # the primitive wants strictly ascending indices; the reader sorts them
+        shuffled = data.draw(st.permutations(indices + indices[:1]))
+        with pytest.raises(ValueError):
+            next(fixed_point_power_stream(t, shuffled, Fraction(2)))
+        seed = RationalSeed(
+            t.numerator, t.denominator, (Fraction(1), Fraction(2)), prime_denominator=False
+        )
+        assert _samples_at(GeneratorSpec.koksma(), seed, shuffled) == [dense[k - 1] for k in shuffled]

@@ -170,6 +170,14 @@ class TestWeylSum:
             assert got.tobytes() == _fraction_phases(points, m).tobytes()
             assert np.all((got >= 0.0) & (got < 1.0))
 
+    def test_mixed_float_and_exact_coordinates(self):
+        # a float next to an exact sample takes the exact path in either order
+        third = UnitSample(k=1, residue=1, denominator=3)
+        for point in ((0.1, third), (third, 0.1)):
+            (phase,) = _fraction_phases([point], (1, 1))
+            want = complex(math.cos(2 * math.pi * phase), math.sin(2 * math.pi * phase))
+            assert abs(weyl_sum([point], (1, 1)).values[0] - want) < 1e-15
+
     def test_non_canonical_m_is_conjugate(self):
         xs = np.random.default_rng(5).random((64, 2))
         up = weyl_sum(xs, (1, -1))
