@@ -266,7 +266,7 @@ class FixedPointReal:
 
     @classmethod
     def from_fraction(cls, value: Fraction, frac_bits: int) -> "FixedPointReal":
-        value = _as_fraction(value) if not isinstance(value, Fraction) else value
+        value = _as_fraction(value)
         m, inexact = _round_div(value.numerator << frac_bits, value.denominator)
         return cls(m, frac_bits, 1 if inexact else 0)
 
@@ -297,13 +297,9 @@ class FixedPointReal:
         return FixedPointReal(m, f, err)
 
     def rescale(self, frac_bits: int) -> "FixedPointReal":
+        """Round to frac_bits <= self.frac_bits; it only drops bits."""
         if frac_bits == self.frac_bits:
             return self
-        if frac_bits > self.frac_bits:
-            shift = frac_bits - self.frac_bits
-            return FixedPointReal(
-                self.mantissa << shift, frac_bits, self.err_ulps << shift
-            )
         shift = self.frac_bits - frac_bits
         m, inexact = _round_div(self.mantissa, 1 << shift)
         err = -(-self.err_ulps >> shift) if self.err_ulps else 0
@@ -325,51 +321,34 @@ class FixedPointReal:
         )
 
 
-def fixed_point_pow(
-    t,
-    k: int,
-    target_frac_bits: int = POWER_STREAM_FRAC_BITS,
-    max_bits: int = DEFAULT_MAX_WORK_BITS,
-) -> FixedPointReal:
-    """t^k with propagated error, fractional part good to ~target_frac_bits.
+def fixed_point_pow(t, k: int) -> FixedPointReal:
+    """t^k for an exact rational t > 1, to POWER_STREAM_FRAC_BITS bits with error.
 
-    t is an exact Fraction (quantized here at working width, so its own
-    rounding cannot dominate the result) or an already-built
-    FixedPointReal, whose input error is then amplified honestly by the
-    exponentiation.  Works at target + k*ceil(log2 t) + 32 fractional
-    bits so the rounding accumulated over the multiply chain stays below
-    one target ulp.  Raises PrecisionBudgetError when that width would
-    exceed max_bits.
+    t is quantized once at W = POWER_STREAM_FRAC_BITS + k*lg + 32 fractional
+    bits (lg an integer bound on log2 t) and raised by square-and-multiply
+    (`FixedPointReal.mul`), so the rounding accumulated over the chain stays
+    below one output ulp.  Raises PrecisionBudgetError when W would exceed
+    DEFAULT_MAX_WORK_BITS.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if not isinstance(t, FixedPointReal):
-        t = _as_fraction(t)
-        if t <= 1:
-            raise ValueError("base must exceed 1")
-        # num < 2^nb and den >= 2^(db-1), so t < 2^(nb-db+1)
-        lg = max(1, t.numerator.bit_length() - t.denominator.bit_length() + 1)
-    else:
-        if t.mantissa <= (1 << t.frac_bits):
-            raise ValueError("base must exceed 1")
-        lg = max(1, t.mantissa.bit_length() - t.frac_bits)
-    work = target_frac_bits + k * lg + 32
-    if work > max_bits:
+    t = _as_fraction(t)
+    if t <= 1:
+        raise ValueError("base must exceed 1")
+    # num < 2^nb and den >= 2^(db-1), so t < 2^(nb-db+1)
+    lg = max(1, t.numerator.bit_length() - t.denominator.bit_length() + 1)
+    work = POWER_STREAM_FRAC_BITS + k * lg + 32
+    if work > DEFAULT_MAX_WORK_BITS:
         raise PrecisionBudgetError(
             f"k={k} at ~{lg} integer bits per power needs {work} working bits, "
-            f"cap is {max_bits}"
+            f"cap is {DEFAULT_MAX_WORK_BITS}"
         )
-    base = (
-        t.rescale(work)
-        if isinstance(t, FixedPointReal)
-        else FixedPointReal.from_fraction(t, work)
-    )
-    acc = base
+    base = acc = FixedPointReal.from_fraction(t, work)
     for bit in bin(k)[3:]:
         acc = acc.mul(acc)
         if bit == "1":
             acc = acc.mul(base)
-    return acc.rescale(target_frac_bits)
+    return acc.rescale(POWER_STREAM_FRAC_BITS)
 
 
 def fixed_point_power_stream(t: Fraction, indices, hi: Fraction):

@@ -36,6 +36,7 @@ from .stochastic import (
     _pmap,
     c_of_m_scan,
     default_bit_source,
+    gamma_index,
     lemma3_check,
     wcud_check,
 )
@@ -334,13 +335,7 @@ def cmd_covariance(cfg: RunConfig) -> str | None:
     payload = {}
     if spec.exact:
         scan = c_of_m_scan(spec, m)
-        payload["c_of_m"] = {
-            "c": scan.c,
-            "conclusive": scan.conclusive,
-            "zero_pairs": [list(p) for p in scan.zero_pairs],
-            "max_lag": scan.max_lag,
-            "probe": scan.probe,
-        }
+        payload["c_of_m"] = asdict(scan)
     check = lemma3_check(
         spec,
         cfg.window(),
@@ -351,17 +346,8 @@ def cmd_covariance(cfg: RunConfig) -> str | None:
         bit_width=cfg.seed_bits,
         workers=cfg.resolved_workers(),
     )
-    payload["far_pairs"] = {
-        "n": check.n,
-        "pairs": [list(p) for p in check.pairs],
-        "estimates": list(check.estimates),
-        "stderrs": list(check.stderrs),
-        "empirical_max": check.empirical_max,
-        "c_hat": check.c_hat,
-        "implied_budget": check.implied_budget,
-        "exact": check.exact,
-    }
-    payload["verdict"] = check.verdict
+    payload["far_pairs"] = asdict(check)
+    payload["verdict"] = payload["far_pairs"].pop("verdict")
     _write_report(cfg, payload)
     print(
         f"far-pair covariance verdict: {check.verdict}"
@@ -413,7 +399,15 @@ def cmd_degenerate(cfg: RunConfig) -> str | None:
 
 
 def cmd_gamma(cfg: RunConfig) -> str | None:
-    gamma = GammaStream(default_bit_source(cfg.master_rng_seed, cfg.seed_bits), cfg.bits)
+    source = default_bit_source(cfg.master_rng_seed, cfg.seed_bits)
+    needed, q = gamma_index(cfg.count, cfg.bits), source.seed.denominator
+    if needed >= q:
+        # the expansion of p/q repeats within q - 1 digits, so the uniforms would too
+        raise ValueError(
+            f"{needed} source bits exceed the period bound {q - 1} of a "
+            f"{cfg.seed_bits}-bit seed; raise --seed-bits"
+        )
+    gamma = GammaStream(source, cfg.bits)
     uniforms = gamma.uniforms(cfg.count)
     table = gamma.index_table(cfg.count)
     payload = {
@@ -507,15 +501,16 @@ def parse_args(argv) -> RunConfig:
         if value is not None and f.name != "command":
             setattr(cfg, f.name, value)
     if ns.save_config:
+        text = cfg.to_text()
         with open(ns.save_config, "w") as fh:
-            fh.write(cfg.to_text())
+            fh.write(text)
     return cfg
 
 
 def main(argv=None) -> None:
     try:
         cfg = parse_args(sys.argv[1:] if argv is None else argv)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(1)
     raise SystemExit(run(cfg))

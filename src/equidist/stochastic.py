@@ -595,9 +595,10 @@ def gamma_index(i: int, j: int) -> int:
 class SeedBitSource:
     """Binary expansion of an exact rational in (0, 1).
 
-    The expansion of p/q is eventually periodic with period ord_q(2); for
-    a fresh 256-bit prime that period is astronomically larger than any
-    requested prefix, and the source refuses requests long enough to wrap.
+    The expansion of p/q (q an odd prime) is periodic with period ord_q(2)
+    <= q - 1; for a fresh 256-bit prime that is far beyond any reachable
+    prefix.  The source checks only `max_bits`, not the period: a caller
+    reading q or more bits from it (`cmd_gamma` refuses that) gets repeats.
     """
 
     def __init__(self, seed: RationalSeed, max_bits: int = 10_000_000):

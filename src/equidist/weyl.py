@@ -310,15 +310,14 @@ def criterion_scan(
     cfg: WindowConfig,
     m_radius: int,
     n_max: int,
-    checkpoints=None,
 ) -> ScanResult:
-    """Weyl series for every nonzero m with sup-norm <= m_radius.
+    """Weyl series on checkpoint_grid(n_max) for each nonzero m, sup-norm <= m_radius.
 
     Computes the canonical half of the lattice and fills the mirror image
     by conjugation, halving the work without touching the contract.
     """
-    cps = tuple(checkpoints) if checkpoints is not None else tuple(checkpoint_grid(n_max))
-    points = scan_points(spec, seed, cfg, max(cps))
+    cps = tuple(checkpoint_grid(n_max))
+    points = scan_points(spec, seed, cfg, n_max)
     series: dict[MultiIndex, WeylSeries] = {}
     for m in canonical_half(cfg.d, m_radius):
         s = weyl_sum(points, m, cps)
@@ -330,51 +329,16 @@ def criterion_scan(
 def degenerate_m_weyl(p: int) -> MultiIndex:
     """Kernel direction for polynomial streams k^p under (p+1)-wide windows.
 
-    Solves the exact linear system demanding sum_j m_j (k+j-1)^p be
-    constant in k (p difference equations, p+1 unknowns, rank p), scales
-    the one-dimensional kernel to coprime integers, first nonzero entry
-    positive.  Every phase m . beta_k then equals t * const, so |W_N| = 1
-    identically: the window dimension p+1 is degenerate for this family.
+    m_j = (-1)^j C(p, j), j = 0..p: the p-th forward difference of k^p is
+    constant, sum_j (-1)^j C(p, j) (k+j)^p = (-1)^p p!, so every phase
+    m . beta_k equals (-1)^p p! t and |W_N| = 1 identically.  Constancy in
+    k is p linear conditions of rank p on p+1 unknowns, so the kernel is
+    one-dimensional and this coprime vector with first entry positive is
+    its only such generator: the window dimension p+1 is degenerate.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
-    width = p + 1
-    rows = [
-        [Fraction((k + j) ** p - (k + j - 1) ** p) for j in range(1, width + 1)]
-        for k in range(1, p + 1)
-    ]
-    pivots: list[int] = []
-    r = 0
-    for c in range(width):
-        pivot = next((i for i in range(r, p) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(p):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == p:
-            break
-    free = [c for c in range(width) if c not in pivots]
-    if len(free) != 1:
-        raise RuntimeError(f"kernel dimension {len(free)}, expected 1")
-    sol = [Fraction(0)] * width
-    sol[free[0]] = Fraction(1)
-    for row_i, c in enumerate(pivots):
-        sol[c] = -rows[row_i][free[0]]
-    scale = math.lcm(*(f.denominator for f in sol))
-    ints = [int(f * scale) for f in sol]
-    g = math.gcd(*ints)
-    ints = [v // g for v in ints]
-    first = next(v for v in ints if v)
-    if first < 0:
-        ints = [-v for v in ints]
-    return MultiIndex(tuple(ints))
+    return MultiIndex(tuple((-1) ** j * math.comb(p, j) for j in range(p + 1)))
 
 
 def degenerate_m_multiplicative(base: int) -> MultiIndex:

@@ -273,12 +273,6 @@ class TestFixedPointReal:
         with pytest.raises(ValueError):
             a.mul(b)
 
-    def test_rescale_round_trip_up(self):
-        x = FixedPointReal.from_fraction(Fraction(1, 3), 32)
-        up = x.rescale(64)
-        assert up.to_fraction() == x.to_fraction()
-        assert up.error_bound() == x.error_bound()
-
     def test_frac_wraps_mantissa(self):
         x = FixedPointReal.from_fraction(Fraction(27, 8), 16)
         assert x.frac().to_fraction() == Fraction(3, 8)
@@ -297,11 +291,8 @@ class TestFixedPointReal:
 
 class TestFixedPointPow:
     def test_dyadic_examples_exact(self):
-        r = fixed_point_pow(Fraction(3, 2), 3, 64)
+        r = fixed_point_pow(Fraction(3, 2), 3)
         assert r.to_fraction() == Fraction(27, 8)
-        assert r.err_ulps == 0
-        r = fixed_point_pow(FixedPointReal.from_fraction(Fraction(2), 8), 10, 64)
-        assert r.to_fraction() == 1024
         assert r.err_ulps == 0
 
     def test_sqrt2_like_base_to_64_bits(self):
@@ -309,7 +300,7 @@ class TestFixedPointPow:
         # accurate to 64 fractional bits because quantization happens at
         # working width
         t = Fraction(141421356, 10**8)
-        r = fixed_point_pow(t, 100, 64)
+        r = fixed_point_pow(t, 100)
         assert abs(r.to_fraction() - t**100) <= Fraction(4, 2**64)
         assert r.err_ulps <= 4
 
@@ -320,18 +311,18 @@ class TestFixedPointPow:
             k = rng.randrange(1, 51)
             if (t.numerator.bit_length() - t.denominator.bit_length() + 1) * k > 4000:
                 continue
-            r = fixed_point_pow(t, k, 64, max_bits=8192)
+            r = fixed_point_pow(t, k)
             assert abs(r.to_fraction() - t**k) <= r.error_bound()
 
     def test_budget_error(self):
         with pytest.raises(PrecisionBudgetError):
-            fixed_point_pow(Fraction(3, 2), 10**6, 64)
+            fixed_point_pow(Fraction(3, 2), 10**6)
 
     def test_rejects_bases_at_most_one(self):
         with pytest.raises(ValueError):
-            fixed_point_pow(Fraction(1), 3, 64)
+            fixed_point_pow(Fraction(1), 3)
         with pytest.raises(ValueError):
-            fixed_point_pow(Fraction(2, 3), 3, 64)
+            fixed_point_pow(Fraction(2, 3), 3)
 
 
 # p^2 - 3 q^2 = 1: t = 3q/p has t^2 = 3 - 3/p^2, just below an integer, and

@@ -3,10 +3,12 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 from equidist.cli import RunConfig, main, parse_args, run
+from equidist.stochastic import FarPairCheck, LagScan
 
 
 def run_cfg(capsys, **kwargs):
@@ -74,6 +76,26 @@ class TestParseArgs:
         out = tmp_path / "saved.cfg"
         cfg = parse_args(["gamma", "--count", "9", "--save-config", str(out)])
         assert RunConfig.from_text(out.read_text()) == cfg
+
+    @pytest.mark.parametrize(
+        "argv_tail, text",
+        [
+            (["--config", "{dir}/bad.cfg"], "n_max=abc\n"),
+            (["--config", "{dir}/bad.cfg"], "no_such_key=1\n"),
+            (["--save-config", "{dir}/saved.cfg", "--output", "a=b.json"], None),
+        ],
+        ids=["bad_value", "unknown_key", "unserializable_save"],
+    )
+    def test_config_errors_exit_one(self, capsys, tmp_path, argv_tail, text):
+        if text is not None:
+            (tmp_path / "bad.cfg").write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["weyl"] + [a.format(dir=tmp_path) for a in argv_tail])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "saved.cfg").exists()
 
     def test_usage_error_exits_one(self):
         with pytest.raises(SystemExit) as exc:
@@ -197,6 +219,16 @@ class TestGamma:
         assert report["config"]["count"] == 8
 
 
+    def test_refuses_seed_shorter_than_its_bit_demand(self, capsys):
+        # 1024 uniforms of 32 bits read 556,017 source bits; an 8-bit prime
+        # q repeats its expansion within q - 1 digits
+        code, _, err = run_cfg(capsys, command="gamma", count=1024, bits=32, seed_bits=8)
+        assert code == 1
+        assert err.startswith("error:")
+        code, _, _ = run_cfg(capsys, command="gamma", count=1024, bits=32)
+        assert code == 0
+
+
 class TestReports:
     def test_output_dir_env_default(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("EQUIDIST_OUTPUT_DIR", str(tmp_path))
@@ -234,6 +266,25 @@ class TestReports:
         assert ra.pop("config")["workers"] == 1
         assert rb.pop("config")["workers"] == 2
         assert ra == rb
+
+    def test_covariance_report_blocks(self, capsys, tmp_path):
+        path = tmp_path / "cov.json"
+        code, _, _ = run_cfg(
+            capsys, command="covariance", family="factorial", d=1, n_max=1000,
+            n_seeds=8, output_path=str(path),
+        )
+        assert code == 0
+        report = json.loads(path.read_text())
+        assert set(report["c_of_m"]) == {f.name for f in fields(LagScan)} == {
+            "c", "conclusive", "zero_pairs", "max_lag", "probe"
+        }
+        assert set(report["far_pairs"]) == {
+            f.name for f in fields(FarPairCheck) if f.name != "verdict"
+        } == {
+            "n", "pairs", "estimates", "stderrs", "empirical_max", "c_hat",
+            "implied_budget", "exact",
+        }
+        assert report["verdict"] == "pass"
 
     def test_discrepancy_csv(self, capsys, tmp_path):
         path = tmp_path / "trend.csv"
