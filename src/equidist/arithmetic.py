@@ -132,6 +132,22 @@ def is_probable_prime(n: int, *, rounds: int = _MR_ROUNDS_LARGE) -> bool:
     return True
 
 
+def order_at_most(base: int, q: int, bound: int) -> int | None:
+    """Smallest o in [1, bound] with base^o = 1 (mod q), base coprime to q; else None.
+    Baby-step giant-step: the first base^(i s) = base^j, j < s, gives o = i s - j."""
+    step, baby, x = math.isqrt(bound) + 1, {}, 1
+    for j in range(step):
+        if j and x == 1:
+            return j
+        baby[x], x = j, x * base % q
+    giant = 1
+    for i in range(1, bound // step + 2):
+        giant = giant * x % q
+        if giant in baby:
+            return i * step - baby[giant] if i * step - baby[giant] <= bound else None
+    return None
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x

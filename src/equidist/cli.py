@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
+from .arithmetic import order_at_most
 from .discrepancy import star_discrepancy_1d
 from .errors import EquidistError
 from .generators import (
@@ -119,8 +120,8 @@ class RunConfig:
             raise ValueError(f"o must be nonnegative, got {self.o}")
         if self.workers < 0:
             raise ValueError("workers must be 0 (auto) or positive")
-        if self.flag_threshold <= 0:
-            raise ValueError("flag_threshold must be positive")
+        if not 0 < self.flag_threshold <= 1:  # |W_N| <= 1: a larger one (or nan) never flags
+            raise ValueError(f"flag_threshold must lie in (0, 1], got {self.flag_threshold}")
         if Fraction(self.koksma_hi) <= 1:
             raise ValueError(f"koksma_hi must exceed 1, got {self.koksma_hi}")
         for piece in self.m_components.split(","):
@@ -401,12 +402,10 @@ def cmd_degenerate(cfg: RunConfig) -> str | None:
 def cmd_gamma(cfg: RunConfig) -> str | None:
     source = default_bit_source(cfg.master_rng_seed, cfg.seed_bits)
     needed, q = gamma_index(cfg.count, cfg.bits), source.seed.denominator
-    if needed >= q:
-        # the expansion of p/q repeats within q - 1 digits, so the uniforms would too
-        raise ValueError(
-            f"{needed} source bits exceed the period bound {q - 1} of a "
-            f"{cfg.seed_bits}-bit seed; raise --seed-bits"
-        )
+    period = order_at_most(2, q, needed)
+    if period is not None:  # the binary expansion of p/q repeats with period ord_q(2)
+        raise ValueError(f"{needed} source bits exceed the period {period} of the expansion "
+                         f"of a {cfg.seed_bits}-bit seed; raise --seed-bits")
     gamma = GammaStream(source, cfg.bits)
     uniforms = gamma.uniforms(cfg.count)
     table = gamma.index_table(cfg.count)

@@ -11,10 +11,10 @@ in the caller's order, exact residues for the integer families and
 `FixedPointReal` values of frac(t^k) for koksma.  `residue_stream`,
 `beta_stream` and the float crossing `_scalars_at` are views over it.
 
-Every sample is a ratio of integers (`UnitSample.ratio`): residue / q, or
-koksma's mantissa / 2^64 after `frac` wraps a rescale that rounded up to 1.
-Exact phases reduce a point's ratios over the lcm of their denominators
-(`weyl._exact_phases`); floats come only from `unit_float`, one correct
+Every sample is a ratio of integers (`UnitSample.ratio`, `_ratios_at`):
+residue / q, or koksma's mantissa / 2^64 after `frac` wraps a rescale that
+rounded up to 1.  Weyl phases are built from the ratios in integers
+(`weyl._ratio_column`); floats come only from `unit_float`, one correct
 rounding clamped below 1, so a mantissa of 2^64 - 1 is 1 - 2^-53, not 1.0.
 
 Multidimensional points come from two constructions over scalar streams:
@@ -35,6 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arithmetic import (
+    POWER_STREAM_FRAC_BITS,
     RationalSeed,
     fixed_point_power_stream,
     FixedPointReal,
@@ -322,14 +323,14 @@ def residue_stream(
     return _samples_at(spec, seed, _indices_at(spec, range(1, count + 1))), seed.denominator
 
 
-def _indices_at(spec: GeneratorSpec, positions) -> list[int]:
+def _indices_at(spec: GeneratorSpec, positions) -> list[int] | range:
     """Generator indices at 1-based output positions (permutation applied).
 
-    Without a permutation the indices are the positions, as a list.
+    Without a permutation the indices are the positions (a range stays one).
     """
-    positions = list(positions)
     if spec.permutation is None:
-        return positions
+        return positions if isinstance(positions, range) else list(positions)
+    positions = list(positions)
     indices = [_descriptor_at(spec.permutation, i) for i in positions]
     if any(a < 1 for a in indices):
         raise ValueError("permutation indices must be positive")
@@ -390,17 +391,19 @@ def residues_to_floats(residues, denominator: int) -> np.ndarray:
     return np.fromiter((unit_float(r, denominator) for r in residues), dtype=float)
 
 
-def _scalars_at(spec: GeneratorSpec, seed: RationalSeed, positions) -> np.ndarray:
-    """Float samples at 1-based stream positions, in the caller's order.
-
-    The one place samples cross into floats, one `unit_float` rounding
-    each: exact residues over q, koksma's samples as their `_frac_ratio`.
-    Positions may repeat and come in any order.
-    """
+def _ratios_at(spec: GeneratorSpec, seed: RationalSeed, positions) -> tuple[list[int], int]:
+    """Samples at 1-based stream positions, in any order, as numerators over one
+    denominator: residues over q, or koksma's mantissas over 2^POWER_STREAM_FRAC_BITS."""
     samples = _samples_at(spec, seed, _indices_at(spec, positions))
     if spec.exact:
-        return residues_to_floats(samples, seed.denominator)
-    return np.fromiter((unit_float(*_frac_ratio(s)) for s in samples), dtype=float)
+        return samples, seed.denominator
+    return [_frac_ratio(s)[0] for s in samples], 1 << POWER_STREAM_FRAC_BITS
+
+
+def _scalars_at(spec: GeneratorSpec, seed: RationalSeed, positions) -> np.ndarray:
+    """Float samples at 1-based stream positions: the one place samples cross
+    into floats, one `unit_float` rounding of each ratio `_ratios_at` reads."""
+    return residues_to_floats(*_ratios_at(spec, seed, positions))
 
 
 def stream_floats(stream) -> np.ndarray:

@@ -38,11 +38,10 @@ from .generators import (
 )
 from .weyl import (
     MultiIndex,
-    _float_phases,
-    _unit_phasors,
     as_multi_index,
     checkpoint_grid,
     scan_points,
+    unit_terms,
 )
 
 DEFAULT_MC_SEEDS = 256
@@ -141,12 +140,6 @@ def c_of_m_scan(spec: GeneratorSpec, m, max_lag: int = 48, probe: int | None = N
 # -- the seed-averaging engine -------------------------------------------------
 
 
-def _phase_terms(pts: np.ndarray, m: MultiIndex) -> np.ndarray:
-    """Y = e(m . x) for the rows of a float window matrix."""
-    re, im = _unit_phasors(_float_phases(pts, m))
-    return re + 1j * im
-
-
 def _window_positions(cfg: WindowConfig, ks) -> list[list[int]]:
     """Stream positions of each window k: (k-1)h+o+1 .. (k-1)h+o+d."""
     return [[(k - 1) * cfg.h + cfg.o + j for j in range(1, cfg.d + 1)] for k in ks]
@@ -156,11 +149,11 @@ def _window_terms_at(spec, seed, cfg: WindowConfig, m: MultiIndex, ks) -> np.nda
     """Y_k = e(m . window_k) for the requested window indices."""
     positions = _window_positions(cfg, ks)
     values = _scalars_at(spec, seed, [p for row in positions for p in row])
-    return _phase_terms(values.reshape(len(positions), cfg.d), m)
+    return unit_terms(values.reshape(len(positions), cfg.d), m)
 
 
 def _term_prefix(spec, seed, cfg, m: MultiIndex, count: int) -> np.ndarray:
-    return _phase_terms(scan_points(spec, seed, cfg, count), m)
+    return unit_terms(scan_points(spec, seed, cfg, count), m)
 
 
 def _window_row(job) -> np.ndarray:
@@ -595,10 +588,10 @@ def gamma_index(i: int, j: int) -> int:
 class SeedBitSource:
     """Binary expansion of an exact rational in (0, 1).
 
-    The expansion of p/q (q an odd prime) is periodic with period ord_q(2)
-    <= q - 1; for a fresh 256-bit prime that is far beyond any reachable
-    prefix.  The source checks only `max_bits`, not the period: a caller
-    reading q or more bits from it (`cmd_gamma` refuses that) gets repeats.
+    The expansion of p/q (q an odd prime) is periodic with period ord_q(2),
+    which can be far below q - 1.  The source checks only `max_bits`, not
+    the period: a caller reading ord_q(2) or more bits gets repeats, which
+    `cmd_gamma` refuses by finding any such period (`order_at_most`).
     """
 
     def __init__(self, seed: RationalSeed, max_bits: int = 10_000_000):

@@ -6,23 +6,22 @@ growing checkpoint grid are the package's primary evidence object.  A
 trajectory pinned at magnitude 1 certifies the opposite: the phases
 m . beta_k are constant, and m is a degenerate direction for the family.
 
-Numerical contract.  Exact points (UnitSample vectors or rational tuples)
-are ratios of integers n_j / q_j per coordinate (`UnitSample.ratio`: a
-residue over q, or a koksma mantissa over 2^64).  The phase m . beta_k is
-reduced mod 1 as one integer over L = lcm(q_j) and rounded to float once
-by `generators.unit_float`, which clamps below 1 the ratios that round up
-to 1.0.  Float points, which is what `criterion_scan` and the stochastic
-module consume, carry one rounding per scalar sample, made by the same
-`unit_float` in `generators._scalars_at`; their phases are reduced once as
-m . x mod 1 in double precision (`_float_phases`), which puts each phase
-within a small multiple of sum_j |m_j| * 2^-53 of the exact one.  Both
-paths then share one e(phase) kernel (`_unit_phasors`) and compensated
-accumulation, so the cosine and sine are the only other lossy step.
-Magnitudes never exceed 1 by more than a few ulps, independent of N.
+Numerical contract.  A phase is a uint64 u standing for u / 2^64 mod 1, and
+e(phase) has one kernel (`_unit_circle`).  Exact points (UnitSample vectors,
+rational tuples, the samples `criterion_scan` reads) give each coordinate's
+ratio n/q the word floor(2^64 frac(r n / q)), r = |m_j| (`_ratio_column`), and
+m . beta_k is the wraparound sum of the words: exact mod 1 up to one floor per
+nonzero m_j (under d 2^-64), so an identity M x_k = x_{k+1} gives phase 0 and
+e = 1 exactly.  Float rows are read as floor(x 2^64), x itself for x >= 2^-12.
+e() is within 2.3e-16 per part (2.2e-16 measured against a 200-bit reference,
+where cos/sin of a rounded float phase were off by up to 1.0e-15).  Pairwise
+sums between checkpoints and every 2^13 terms, combined by Neumaier
+accumulation, keep |W_N| <= 1 + O(eps).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,8 +34,8 @@ from .generators import (
     GeneratorSpec,
     UnitSample,
     WindowConfig,
+    _ratios_at,
     _scalars_at,
-    unit_float,
     windows_array,
 )
 
@@ -49,15 +48,10 @@ def checkpoint_grid(n_max: int) -> list[int]:
     """Grid {ceil(CHECKPOINT_RATIO^j) : j >= CHECKPOINT_FIRST_EXPONENT}, closed at n_max."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    grid = set()
-    j = CHECKPOINT_FIRST_EXPONENT
-    while True:
-        n = math.ceil(CHECKPOINT_RATIO**j)
-        if n > n_max:
-            break
+    grid, j = {n_max}, CHECKPOINT_FIRST_EXPONENT
+    while (n := math.ceil(CHECKPOINT_RATIO**j)) <= n_max:
         grid.add(n)
         j += 1
-    grid.add(n_max)
     return sorted(grid)
 
 
@@ -81,17 +75,11 @@ class MultiIndex:
 
     @property
     def weight(self) -> int:
-        out = 1
-        for c in self.components:
-            out *= max(1, abs(c))
-        return out
+        return math.prod(max(1, abs(c)) for c in self.components)
 
     @property
     def canonical(self) -> bool:
-        for c in self.components:
-            if c:
-                return c > 0
-        return False
+        return next((c > 0 for c in self.components if c), False)
 
     def __neg__(self) -> "MultiIndex":
         return MultiIndex(tuple(-c for c in self.components))
@@ -108,11 +96,8 @@ def multi_indices(d: int, radius: int) -> list[MultiIndex]:
     """All nonzero m with sup-norm at most radius, lexicographic order."""
     if d < 1 or radius < 1:
         raise ValueError("d and radius must be positive")
-    out = []
-    for comps in itertools.product(range(-radius, radius + 1), repeat=d):
-        if any(comps):
-            out.append(MultiIndex(comps))
-    return out
+    lattice = itertools.product(range(-radius, radius + 1), repeat=d)
+    return [MultiIndex(comps) for comps in lattice if any(comps)]
 
 
 def canonical_half(d: int, radius: int) -> list[MultiIndex]:
@@ -149,7 +134,8 @@ class WeylSeries:
         )
 
 
-def _neumaier(values) -> float:
+def _neumaier(values):
+    """Running compensated sums: total + compensation after each value."""
     total = 0.0
     comp = 0.0
     for x in values:
@@ -159,14 +145,11 @@ def _neumaier(values) -> float:
         else:
             comp += (x - t) + total
         total = t
-    return total + comp
+        yield total + comp
 
 
 def _checkpoints_for(n: int, checkpoints) -> tuple[int, ...]:
-    if checkpoints is None:
-        cps = (n,)
-    else:
-        cps = tuple(int(c) for c in checkpoints)
+    cps = (n,) if checkpoints is None else tuple(int(c) for c in checkpoints)
     if not cps:
         raise ValueError("need at least one checkpoint")
     if any(b <= a for a, b in zip(cps, cps[1:])):
@@ -178,82 +161,122 @@ def _checkpoints_for(n: int, checkpoints) -> tuple[int, ...]:
     return cps
 
 
-def _float_phases(pts: np.ndarray, m: MultiIndex) -> np.ndarray:
-    """Phases m . x mod 1 of the rows of a float (N, d) point matrix.
+# -- the phase kernel: uint64 phases u, read as u / 2^64 mod 1 ----------------
 
-    The dot product is summed left to right from the rounded products
-    m_j * x_j, so the bits do not depend on the memory layout of `pts`
-    (a BLAS matrix-vector product may fuse or reorder the terms).
-    """
-    acc = 0.0
-    for j, c in enumerate(m.components):
-        acc = acc + c * pts[:, j]
-    return np.mod(acc, 1.0)
+_CHUNK = 1 << 13  # terms per kernel pass, so its temporaries stay small
+_SPLIT, _HALF = np.uint64(48), np.uint64(1 << 47)  # 2^16 table points, 2^48 units apart
+_MAGIC, _MAGIC_BITS = 1.5 * 2**52, np.uint64(0x4338000000000000)  # float _MAGIC + s = bits + s
 
 
-def _unit_phasors(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of e(phase) = exp(2 pi i phase)."""
-    angles = 2.0 * np.pi * phases
-    return np.cos(angles), np.sin(angles)
-
-
-def _series_from_phases(m, phases: np.ndarray, cps) -> WeylSeries:
-    """Compensated prefix means of e(phase) at the checkpoints.
-
-    Pairwise segment sums combined by Neumaier accumulation keep the error
-    of every W_N at O(eps) independent of N.
-    """
-    re, im = _unit_phasors(phases)
-    bounds = [0, *cps]
-    seg_re = [float(np.sum(re[a:b])) for a, b in zip(bounds, bounds[1:])]
-    seg_im = [float(np.sum(im[a:b])) for a, b in zip(bounds, bounds[1:])]
-    values = []
-    for i, n in enumerate(cps):
-        values.append(
-            complex(_neumaier(seg_re[: i + 1]) / n, _neumaier(seg_im[: i + 1]) / n)
-        )
-    return WeylSeries(m, cps, tuple(values))
-
-
-def _exact_phases(points, m: MultiIndex) -> np.ndarray:
-    """Phases m . beta_k mod 1, one integer reduction over lcm(q_j), one rounding each."""
-    comps = m.components
-    out = np.empty(len(points), dtype=float)
-    for i, vec in enumerate(points):
-        if len(vec) != len(comps):
-            raise ValueError("point dimension does not match multi-index")
-        ratios = [
-            s.ratio if isinstance(s, UnitSample) else Fraction(s).as_integer_ratio() for s in vec
-        ]
-        lcm = math.lcm(*(q for _, q in ratios))
-        dot = sum(c * n * (lcm // q) for c, (n, q) in zip(comps, ratios))
-        out[i] = unit_float(dot % lcm, lcm)
+@functools.cache
+def _circle_table() -> np.ndarray:
+    """e(i / 2^16) from math.cos/sin on the first octant and exact symmetries."""
+    n, q, k = 1 << 16, 1 << 14, 1 << 13
+    out = np.empty(n, dtype=complex)
+    angles = (np.arange(k + 1) * (2 * math.pi / n)).tolist()
+    out.real[: k + 1], out.imag[: k + 1] = list(map(math.cos, angles)), list(map(math.sin, angles))
+    out.real[k + 1 : q], out.imag[k + 1 : q] = out.imag[k - 1 : 0 : -1], out.real[k - 1 : 0 : -1]
+    out.real[q : 2 * q], out.imag[q : 2 * q] = -out.imag[:q], out.real[:q]
+    out[2 * q :] = -out[: 2 * q]
     return out
 
 
-def weyl_sum(points, m, checkpoints=None) -> WeylSeries:
-    """W_N(m) at the checkpoints for exact or float point sequences.
+def _unit_circle(u: np.ndarray) -> np.ndarray:
+    """e(u / 2^64) for uint64 phases u, each part within 2.3e-16: u = i 2^48 + s,
+    |s| <= 2^47, splits at the nearest table point T_i, and e = T_i (1 + c + i s')
+    with theta = 2 pi s / 2^64, c = -theta^2 / 2 and s' = theta (1 - theta^2 / 6),
+    cos theta - 1 and sin theta to 3e-19.  Phase 0 gives 1 + 0j, and one within
+    2^-30 of an integer a real part of exactly 1.0."""
+    i = (u + _HALF) >> _SPLIT
+    theta = ((u - (i << _SPLIT) + _MAGIC_BITS).view(np.float64) - _MAGIC) * (2 * math.pi / 2**64)
+    t2, z = theta * theta, _circle_table().take(i.view(np.intp))
+    w = np.empty(len(u), dtype=complex)
+    w.real, w.imag = t2 * -0.5, theta * (1.0 - t2 / 6.0)
+    w *= z
+    w += z
+    return w
 
-    Exact points (UnitSample vectors or rational tuples, mixed ones too) go
-    through the exact phase reduction; all-float input reduces in doubles.
-    The sum for a non-canonical m is computed on -m and conjugated, so
-    W_N(-m) == conj(W_N(m)) holds bit-exactly by construction.
-    """
+
+def _term_chunks(columns: list, n: int):
+    """(start, e(u_k / 2^64) of the chunk) for k < n: u_k sums +-v[k] mod 2^64 over
+    the (c, v) of `columns`, v the uint64 words of |c| x or floats x in [0, 1)."""
+    for a in range(0, n, _CHUNK):
+        u = np.zeros(min(_CHUNK, n - a), dtype=np.uint64)
+        for c, v in columns:
+            v = v[a : a + len(u)]
+            if v.dtype != np.uint64:  # read as floor(x 2^64), times |c| mod 2^64
+                v = np.ldexp(v, 64).astype(np.uint64) * np.uint64(abs(c))
+            (np.add if c > 0 else np.subtract)(u, v, out=u)
+        yield a, _unit_circle(u)
+
+
+def _ratio_column(nums: list, dens: list, radius: int) -> tuple[np.ndarray, ...]:
+    """floor(2^64 frac(r n / q)), r = 1..radius, per n in `nums` over its q in `dens`: with
+    floor(2^128 frac(n / q)) = hi 2^64 + lo it is r hi + floor(r lo / 2^64) mod 2^64, redone
+    in integers where r lo mod 2^64 > 2^64 - r lets the dropped fraction carry."""
+    out = tuple(np.empty(len(nums), dtype=np.uint64) for _ in range(radius))
+    for a in range(0, len(nums), _CHUNK):  # in chunks, so the temporaries stay small
+        block = zip(nums[a : a + _CHUNK], dens[a : a + _CHUNK])
+        words = (((n % q << 128) // q).to_bytes(16, "little") for n, q in block)
+        lo, hi = np.fromiter(words, "S16").view("<u8").reshape(-1, 2).T
+        lo_hi, lo_lo = lo >> 32, lo & (2**32 - 1)
+        for r, col in enumerate(out, start=1):
+            col[a : a + len(lo)] = hi * r + ((lo_hi * r + (lo_lo * r >> 32)) >> 32)
+            for i in np.flatnonzero(lo * r > 2**64 - r) + a:
+                col[i] = (r * nums[i] % dens[i] << 64) // dens[i]
+    return out
+
+
+class PhaseTable(tuple):
+    """Words of exact points: self[j][r - 1][k] = floor(2^64 frac(r x_kj))."""
+
+
+def _phase_columns(points, m: MultiIndex) -> tuple[list, int]:
+    """The (weight, column) pairs `_term_chunks` sums for m, and the point count, of a
+    `PhaseTable`, a float (N, d) array in [0, 1), or a list of points read as a table
+    of each coordinate's exact ratio (`UnitSample.ratio`, or a number's, floats too)."""
+    if not isinstance(points, (PhaseTable, np.ndarray)):
+        points = list(points)
+        if any(len(vec) != m.d for vec in points):
+            raise ValueError("point dimension does not match multi-index")
+        ratios = [[s.ratio if isinstance(s, UnitSample) else Fraction(s).as_integer_ratio()
+                   for s in vec] for vec in points]
+        points = PhaseTable(_ratio_column([v[j][0] for v in ratios], [v[j][1] for v in ratios],
+                                          max(map(abs, m.components))) for j in range(m.d))
+    if isinstance(points, PhaseTable):
+        if m.d != len(points) or max(map(abs, m.components)) > len(points[0]):
+            raise ValueError(f"m = {m} exceeds the table's dimension or radius")
+        return [(c, t[abs(c) - 1]) for c, t in zip(m.components, points) if c], len(points[0][0])
+    if points.ndim != 2 or points.shape[1] != m.d:
+        raise ValueError("expected a (N, d) float array")
+    columns = [(c, points[:, j].astype(float, copy=False)) for j, c in enumerate(m.components) if c]
+    if any(len(x) and not (x.min() >= 0.0 and x.max() < 1.0) for _, x in columns):
+        raise ValueError("float points must lie in [0, 1)")
+    return columns, len(points)
+
+
+def unit_terms(points, m) -> np.ndarray:
+    """e(m . x_k) for every point (see `_phase_columns`)."""
+    columns, n = _phase_columns(points, as_multi_index(m))
+    return np.concatenate([np.empty(0, complex)] + [t for _, t in _term_chunks(columns, n)])
+
+
+def weyl_sum(points, m, checkpoints=None) -> WeylSeries:
+    """W_N(m) at the checkpoints for a phase table, float rows or exact points; a
+    non-canonical m is computed on -m and conjugated, so W_N(-m) == conj(W_N(m))."""
     m = as_multi_index(m)
     if not m.canonical:
         return weyl_sum(points, -m, checkpoints).conjugate()
-    if isinstance(points, np.ndarray):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != m.d:
-            raise ValueError("expected a (N, d) float array")
-        cps = _checkpoints_for(pts.shape[0], checkpoints)
-        return _series_from_phases(m, _float_phases(pts, m), cps)
-    points = list(points)
-    if points and all(isinstance(x, float) for vec in points for x in vec):
-        return weyl_sum(np.array(points, dtype=float), m, checkpoints)
-    cps = _checkpoints_for(len(points), checkpoints)
-    phases = _exact_phases(points[: cps[-1]], m)
-    return _series_from_phases(m, phases, cps)
+    columns, n = _phase_columns(points, m)
+    cps = _checkpoints_for(n, checkpoints)
+    ends, sums = [], []
+    for a, terms in _term_chunks(columns, cps[-1]):
+        cuts = [a, *(c for c in cps if a < c < a + len(terms)), a + len(terms)]
+        ends += cuts[1:]
+        sums += [complex(np.sum(terms[lo - a : hi - a])) for lo, hi in zip(cuts, cuts[1:])]
+    re, im = _neumaier(s.real for s in sums), _neumaier(s.imag for s in sums)
+    values = tuple(complex(x / e, y / e) for e, x, y in zip(ends, re, im) if e in cps)
+    return WeylSeries(m, cps, values)
 
 
 @dataclass(frozen=True)
@@ -278,30 +301,37 @@ class ScanResult:
         )
 
 
-def scan_points(spec: GeneratorSpec, seed, cfg: WindowConfig, count: int) -> np.ndarray:
-    """Float window matrix (count, d) for a family/seed/window triple.
-
-    The scalar samples cross into floats in `_scalars_at`, one rounding
-    each.  sliding_bc windows one seed's stream with `windows_array`;
-    interleaved_a stacks one column per seed, column j holding the
-    samples at indices j, j + d, j + 2d, ...
-    """
+def _stream_reads(spec: GeneratorSpec, seed, cfg: WindowConfig, count: int) -> list:
+    """(seed, positions) read for `count` windows: interleaved column j at j, j + d, ..."""
     if cfg.construction == "interleaved_a":
         seeds = list(seed) if isinstance(seed, (list, tuple)) else [seed]
         if len(seeds) != cfg.d:
             raise ValueError(f"interleaved_a needs {cfg.d} seeds, got {len(seeds)}")
         if spec.permutation is not None:
             raise ValueError("interleaving a permuted stream is not defined")
-        columns = [
-            _scalars_at(spec, s, range(j, cfg.d * count + 1, cfg.d))
-            for j, s in enumerate(seeds, start=1)
-        ]
-        return np.column_stack(columns)
+        return [(s, range(j, cfg.d * count + 1, cfg.d)) for j, s in enumerate(seeds, start=1)]
     if isinstance(seed, (list, tuple)):
         raise ValueError("sliding_bc takes a single seed")
-    positions = range(1, cfg.stream_length(count) + 1)
-    values = _scalars_at(spec, seed, positions)
-    return windows_array(values, cfg, count)
+    return [(seed, range(1, cfg.stream_length(count) + 1))]
+
+
+def scan_points(spec: GeneratorSpec, seed, cfg: WindowConfig, count: int) -> np.ndarray:
+    """Float window matrix (count, d); the samples cross into floats in `_scalars_at`."""
+    columns = [_scalars_at(spec, s, at) for s, at in _stream_reads(spec, seed, cfg, count)]
+    if cfg.construction == "interleaved_a":
+        return np.column_stack(columns)
+    return windows_array(columns[0], cfg, count)
+
+
+def _scan_table(spec: GeneratorSpec, seed, cfg: WindowConfig, count: int, radius: int):
+    """The windows of `scan_points` as a phase table of the exact samples."""
+    reads = (_ratios_at(spec, s, at) for s, at in _stream_reads(spec, seed, cfg, count))
+    streams = [_ratio_column(nums, [q] * len(nums), radius) for nums, q in reads]
+    if cfg.construction == "interleaved_a":
+        return PhaseTable(streams)
+    stop = cfg.o + (count - 1) * cfg.h + 1
+    return PhaseTable(tuple(t[cfg.o + j : stop + j : cfg.h] for t in streams[0])
+                      for j in range(cfg.d))
 
 
 def criterion_scan(
@@ -313,16 +343,15 @@ def criterion_scan(
 ) -> ScanResult:
     """Weyl series on checkpoint_grid(n_max) for each nonzero m, sup-norm <= m_radius.
 
-    Computes the canonical half of the lattice and fills the mirror image
-    by conjugation, halving the work without touching the contract.
+    The phase tables are built once per seed; each m of the canonical half costs
+    one wraparound sum of table columns and one e() per window, its mirror a conjugate.
     """
     cps = tuple(checkpoint_grid(n_max))
-    points = scan_points(spec, seed, cfg, n_max)
+    table = _scan_table(spec, seed, cfg, n_max, m_radius)
     series: dict[MultiIndex, WeylSeries] = {}
     for m in canonical_half(cfg.d, m_radius):
-        s = weyl_sum(points, m, cps)
-        series[m] = s
-        series[-m] = s.conjugate()
+        s = weyl_sum(table, m, cps)
+        series[m], series[-m] = s, s.conjugate()
     return ScanResult(series=series, checkpoints=cps)
 
 

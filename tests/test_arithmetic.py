@@ -20,6 +20,7 @@ from equidist.arithmetic import (
     fixed_point_pow,
     fixed_point_power_stream,
     is_probable_prime,
+    order_at_most,
 )
 from equidist.errors import IntervalWidthError, PrecisionBudgetError
 from equidist.generators import GeneratorSpec, _samples_at
@@ -414,3 +415,31 @@ class TestPowerStream:
             t.numerator, t.denominator, (Fraction(1), Fraction(2)), prime_denominator=False
         )
         assert _samples_at(GeneratorSpec.koksma(), seed, shuffled) == [dense[k - 1] for k in shuffled]
+
+
+class TestOrderAtMost:
+    @staticmethod
+    def _stepped_order(base: int, q: int) -> int:
+        x, o = base % q, 1
+        while x != 1:
+            x, o = x * base % q, o + 1
+        return o
+
+    def test_matches_stepping_for_primes_below_2000(self):
+        primes = [q for q in range(3, 2000) if all(q % p for p in range(2, math.isqrt(q) + 1))]
+        for q in primes:
+            for base in (2, 3, q - 1):
+                if base % q == 0:
+                    continue
+                order = self._stepped_order(base, q)
+                for bound in {1, 2, order - 1, order, order + 1, q - 1, 3 * q}:
+                    if bound < 1:
+                        continue
+                    want = order if order <= bound else None
+                    assert order_at_most(base, q, bound) == want, (base, q, bound)
+
+    def test_large_prime_beyond_bound(self):
+        # a 61-bit Mersenne prime: ord(2) = 61, ord(3) is far beyond any small bound
+        q = 2**61 - 1
+        assert order_at_most(2, q, 10**6) == 61
+        assert order_at_most(3, q, 10**6) is None

@@ -8,7 +8,7 @@ from dataclasses import fields
 import pytest
 
 from equidist.cli import RunConfig, main, parse_args, run
-from equidist.stochastic import FarPairCheck, LagScan
+from equidist.stochastic import FarPairCheck, GammaStream, LagScan, default_bit_source
 
 
 def run_cfg(capsys, **kwargs):
@@ -96,6 +96,30 @@ class TestParseArgs:
         assert err.startswith("error:")
         assert "Traceback" not in err
         assert not (tmp_path / "saved.cfg").exists()
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1.5", "0", "-1"])
+    def test_flag_threshold_outside_unit_interval_exits_one(self, capsys, tmp_path, value, via):
+        # |W_N| <= 1, so a threshold above 1 (or nan) could never flag: a vacuous pass
+        argv = ["weyl", "--family", "factorial", "--d", "2", "--N", "300",
+                "--output", str(tmp_path / "w.json")]
+        if via == "flag":
+            argv += ["--flag-threshold", value]
+        else:
+            (tmp_path / "t.cfg").write_text(f"flag_threshold={value}\n")
+            argv += ["--config", str(tmp_path / "t.cfg")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "w.json").exists()
+
+    def test_flag_threshold_one_is_accepted(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["weyl", "--family", "factorial", "--d", "2", "--N", "300",
+                  "--flag-threshold", "1.0", "--output", str(tmp_path / "w.json")])
+        assert exc.value.code == 0
+        assert json.loads((tmp_path / "w.json").read_text())["flag_threshold"] == 1.0
 
     def test_usage_error_exits_one(self):
         with pytest.raises(SystemExit) as exc:
@@ -227,6 +251,23 @@ class TestGamma:
         assert err.startswith("error:")
         code, _, _ = run_cfg(capsys, command="gamma", count=1024, bits=32)
         assert code == 0
+
+
+    def test_refuses_source_whose_period_is_within_its_bit_demand(self, capsys):
+        # 556,017 bits of p/633257 (20-bit seed at master seed 3): q exceeds the
+        # demand, but ord_q(2) = 158,314 does not, so the bits would repeat
+        code, _, err = run_cfg(capsys, command="gamma", count=1024, bits=32,
+                               seed_bits=20, master_rng_seed=3)
+        assert code == 1
+        assert err.startswith("error:") and "158314" in err
+
+    def test_default_seed_report_unchanged(self, capsys, tmp_path):
+        path = tmp_path / "gamma.json"
+        code, _, _ = run_cfg(capsys, command="gamma", count=1024, bits=32, output_path=str(path))
+        assert code == 0
+        source = default_bit_source(RunConfig().master_rng_seed, RunConfig().seed_bits)
+        want = GammaStream(source, 32).uniforms(1024)
+        assert json.loads(path.read_text())["uniforms"] == [float(u) for u in want]
 
 
 class TestReports:

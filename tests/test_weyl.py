@@ -21,7 +21,9 @@ from equidist.generators import (
 from equidist.weyl import (
     MultiIndex,
     WeylSeries,
-    _exact_phases,
+    _phase_columns,
+    _ratio_column,
+    _term_chunks,
     canonical_half,
     checkpoint_grid,
     criterion_scan,
@@ -94,6 +96,24 @@ def _fraction_phases(points, m) -> np.ndarray:
         total -= math.floor(total)
         out.append(unit_float(total.numerator, total.denominator))
     return np.array(out, dtype=float)
+
+
+def _exact_phase_ratios(points, m: MultiIndex) -> list[tuple[int, int]]:
+    """Phases m . beta_k mod 1 as exact ratios, one integer reduction over lcm(q_j)."""
+    out = []
+    for vec in points:
+        ratios = [
+            s.ratio if isinstance(s, UnitSample) else Fraction(s).as_integer_ratio() for s in vec
+        ]
+        lcm = math.lcm(*(q for _, q in ratios))
+        dot = sum(c * n * (lcm // q) for c, (n, q) in zip(m.components, ratios))
+        out.append((dot % lcm, lcm))
+    return out
+
+
+def _exact_phases(points, m: MultiIndex) -> np.ndarray:
+    """Reference phases: the exact reduction rounded once by `unit_float`."""
+    return np.array([unit_float(n, q) for n, q in _exact_phase_ratios(points, m)], dtype=float)
 
 
 def _sliding_points(spec, n=300, d=3):
@@ -169,6 +189,17 @@ class TestWeylSum:
             got = _exact_phases(points, MultiIndex(m))
             assert got.tobytes() == _fraction_phases(points, m).tobytes()
             assert np.all((got >= 0.0) & (got < 1.0))
+            # the kernel's fixed-point phases take one floor per nonzero m_j:
+            # u - 2^64 phase lies in [-#(m_j > 0), #(m_j < 0)] units of 2^-64
+            m = MultiIndex(m)
+            columns, n = _phase_columns(points, m)
+            kernel = [sum((1 if c > 0 else -1) * int(v[k]) for c, v in columns) % 2**64
+                      for k in range(n)]
+            pos = sum(1 for c in m.components if c > 0)
+            neg = sum(1 for c in m.components if c < 0)
+            for u, (n, q) in zip(kernel, _exact_phase_ratios(points, m)):
+                gap = (u - Fraction(n << 64, q) + 2**63) % 2**64 - 2**63
+                assert -pos <= gap <= neg
 
     def test_mixed_float_and_exact_coordinates(self):
         # a float next to an exact sample takes the exact path in either order
@@ -202,6 +233,154 @@ class TestWeylSum:
         xs = np.random.default_rng(n).random((n, 1))
         series = weyl_sum(xs, (2,))
         assert series.final_magnitude <= 1 + 1e-12
+
+
+PI_DIGITS = (
+    "3.14159265358979323846264338327950288419716939937510582097494459230781640628620899862803"
+)
+PI_2_200 = math.floor(Fraction(PI_DIGITS) * 2**200)
+E_BOUND = 2.3e-16  # per component, stated in weyl._unit_circle
+REF_ERROR = 2.0**-53  # math.cos/sin of a correctly rounded angle, plus its low-order correction
+# |W_N - reference| at N <= 300: the e() bound on both components, d 2^-64 of
+# phase, and the rounding of the pairwise segment sums and their division by N
+W_BOUND = 1e-15
+
+
+def _reference_e(phase: Fraction) -> tuple[float, float]:
+    """cos and sin of 2 pi phase from math.cos/math.sin on an angle reduced exactly.
+
+    The nearest quarter turn is split off in exact arithmetic, the rest is
+    an angle |a| <= pi/4 held to 200 bits, and its low part corrects the
+    rounded angle to first order.
+    """
+    quarter = round(4 * phase)
+    rest = phase - Fraction(quarter, 4)
+    a_fixed = 2 * rest.numerator * PI_2_200 // rest.denominator
+    a_hi = a_fixed / 2**200
+    a_lo = (a_fixed - int(math.ldexp(a_hi, 200))) / 2**200
+    c = math.cos(a_hi) - math.sin(a_hi) * a_lo
+    s = math.sin(a_hi) + math.cos(a_hi) * a_lo
+    for _ in range(quarter % 4):
+        c, s = -s, c
+    return c, s
+
+
+def _reference_weyl(points, m, checkpoints) -> list[complex]:
+    """W_n(m) at each checkpoint from exact phases and reference cosines, summed by fsum."""
+    pairs = [_reference_e(Fraction(a, q)) for a, q in _exact_phase_ratios(points, m)]
+    return [
+        complex(math.fsum(c for c, _ in pairs[:n]) / n, math.fsum(s for _, s in pairs[:n]) / n)
+        for n in checkpoints
+    ]
+
+
+def _terms(columns, n):
+    """All n kernel terms e(u_k / 2^64) of weighted uint64 columns, as (re, im)."""
+    out = np.concatenate([terms for _, terms in _term_chunks(columns, n)] or [np.empty(0, complex)])
+    return out.real, out.imag
+
+
+def _windows(stream, cfg, count):
+    return [
+        tuple(stream[cfg.o + (k - 1) * cfg.h + j] for j in range(cfg.d)) for k in range(1, count + 1)
+    ]
+
+
+class TestPhaseKernel:
+    def test_e_matches_reference_within_bound(self):
+        rng = random.Random(17)
+        us = [rng.getrandbits(64) for _ in range(100_000)]
+        edges = [0, 1, 2**64 - 1, 2**47, 2**47 - 1, 2**47 + 1, 2**64 - 2**47]
+        edges += [((k << 48) + e) % 2**64 for k in range(0, 2**16, 331) for e in (-1, 1)]
+        us += edges
+        re, im = _terms([(1, np.array(us, dtype=np.uint64))], len(us))
+        want = np.array([_reference_e(Fraction(u, 2**64)) for u in us])
+        err = np.maximum(np.abs(re - want[:, 0]), np.abs(im - want[:, 1]))
+        assert err.max() <= E_BOUND + REF_ERROR
+
+    def test_e_exact_points(self):
+        us = np.array([0, 2**62, 2**63, 3 * 2**62], dtype=np.uint64)
+        re, im = _terms([(1, us)], 4)
+        assert list(zip(re.tolist(), im.tolist())) == [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+        # phases within 2^-30 of an integer, either sign, keep a real part of exactly 1
+        tiny = np.array([1, 2**64 - 1, 2**33, 2**64 - 2**33, 2**20], dtype=np.uint64)
+        re, im = _terms([(1, tiny)], len(tiny))
+        assert np.all(re == 1.0)
+        assert np.all(np.sign(im) == [1, -1, 1, -1, 1])
+
+    def test_signed_columns_wrap(self):
+        # word columns enter with the sign of their weight; float columns times |weight|
+        rng = np.random.default_rng(3)
+        a, b = (rng.integers(0, 2**64, size=500, dtype=np.uint64) for _ in range(2))
+        x = rng.random(500)
+        words = np.ldexp(x, 64).astype(np.uint64)
+        got = _terms([(1, a), (-1, b), (2, b), (-3, x)], 500)
+        want = _terms([(1, a), (-1, words * np.uint64(3))], 500)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_ratio_column_is_the_exact_floor(self):
+        rng = random.Random(5)
+        ratios = [(1, 3), (2, 5), (5, 6), (2**64 - 1, 2**64), (0, 7)]
+        for bits in (8, 64, 65, 256, 300):
+            for _ in range(40):
+                q = rng.randrange(2, 2**bits)
+                ratios.append((rng.randrange(-(q**2), q**2), q))
+        radius = 6
+        columns = _ratio_column([n for n, _ in ratios], [q for _, q in ratios], radius)
+        for r, col in enumerate(columns, start=1):
+            assert col.tolist() == [(r * n % q << 64) // q for n, q in ratios]
+
+    def test_exact_multiple_of_one_turn_is_exactly_one(self):
+        # 3 * (1/3) is an integer: its word is exactly 0, not 2^64 - 1, so e = 1 + 0j
+        for x, m in ((Fraction(1, 3), 3), (Fraction(2, 5), 5), (Fraction(5, 6), 6)):
+            assert weyl_sum([(x,)], (m,)).values[0] == 1 + 0j
+
+    def test_float_row_just_below_one(self):
+        x = 1 - 2.0**-53
+        series = weyl_sum(np.array([[x]]), (1,))
+        assert series.values[0] == complex(1.0, -2 * math.pi * 2.0**-53)
+        # m x = 3 - 3 2^-53 has no float; the fixed-point phase is still exact
+        got = weyl_sum(np.array([[x]]), (3,)).values[0]
+        assert got.real == 1.0
+        assert abs(got.imag + 6 * math.pi * 2.0**-53) < 1e-30
+
+    def test_float_rows_outside_unit_interval_rejected(self):
+        for bad in (1.0, -1e-300, float("nan")):
+            with pytest.raises(ValueError):
+                weyl_sum(np.array([[0.5], [bad]]), (1,))
+
+    @pytest.mark.parametrize(
+        "spec, cfg",
+        [
+            (GeneratorSpec.weyl(2), WindowConfig(d=2)),
+            (GeneratorSpec.multiplicative(3), WindowConfig(d=2)),
+            (GeneratorSpec.factorial(), WindowConfig(d=3)),
+            (GeneratorSpec.self_power(), WindowConfig(d=2)),
+            (GeneratorSpec.linear([3, 1, 4, 1, 5, 9, 2, 6] * 60), WindowConfig(d=2)),
+            (GeneratorSpec.koksma(), WindowConfig(d=2)),
+            (GeneratorSpec.factorial(), WindowConfig(d=2, h=2, o=1)),
+            (GeneratorSpec.multiplicative(2).permuted(range(400, 0, -1)), WindowConfig(d=2)),
+        ],
+        ids=["weyl2", "mult3", "factorial", "self_power", "linear", "koksma", "h2_o1", "permuted"],
+    )
+    def test_criterion_scan_matches_fraction_reference(self, spec, cfg):
+        n = 300
+        seed = SeedSampler(23, bit_width=64).sample(spec.seed_interval())
+        scan = criterion_scan(spec, seed, cfg, 2, n)
+        points = _windows(beta_stream(spec, seed, cfg.stream_length(n)), cfg, n)
+        for m in canonical_half(cfg.d, 2):
+            want = _reference_weyl(points, m, scan.checkpoints)
+            assert max(abs(a - b) for a, b in zip(scan.series[m].values, want)) <= W_BOUND
+
+    def test_interleaved_scan_matches_fraction_reference(self):
+        n = 300
+        seeds = [SeedSampler(29, bit_width=64).spawn(j).sample() for j in range(2)]
+        cfg = WindowConfig(d=2, construction="interleaved_a")
+        scan = criterion_scan(GeneratorSpec.factorial(), seeds, cfg, 2, n)
+        points = interleaved_vectors(GeneratorSpec.factorial(), seeds, n)
+        for m in canonical_half(2, 2):
+            want = _reference_weyl(points, m, scan.checkpoints)
+            assert max(abs(a - b) for a, b in zip(scan.series[m].values, want)) <= W_BOUND
 
 
 class TestWeylSeries:
