@@ -4,6 +4,8 @@ A generator family maps an index k and a seed t to x_k(t); the unit-cube
 sample is beta_k = x_k(t) mod 1.  The integer-coefficient families reduce
 exactly: beta_k = (c_k * p mod q) / q for t = p/q.  The power family t^k
 has none; it jumps the exact seed by t^gap on the fixed-point carrier.
+Self-powers recur too: k^k = (s^j j^j)^s for k = s j with s the least
+prime factor, so only prime k pay a full modular power pow(k, k, q).
 
 Every family is read through one indexed reader, `_samples_at`: it takes
 generator indices in any order, repeats allowed, and returns the samples
@@ -248,39 +250,41 @@ def unit_float(numerator: int, denominator: int) -> float:
 def _samples_at(spec: GeneratorSpec, seed: RationalSeed, indices: list[int]) -> list:
     """Samples beta_k at generator indices, in the caller's order.
 
-    Indices may repeat and come in any order.  Integer-coefficient families
-    give exact residues c_k * p mod q (beta_k = residue / q); koksma gives
-    frac(t^k) as a `FixedPointReal` of POWER_STREAM_FRAC_BITS bits, read as
-    a ratio through `_frac_ratio`.
+    Indices k >= 1 may repeat and come in any order.  Integer-coefficient
+    families give exact residues c_k * p mod q (beta_k = residue / q); koksma
+    gives frac(t^k) as a `FixedPointReal` of POWER_STREAM_FRAC_BITS bits,
+    read as a ratio through `_frac_ratio`.
 
-    The recurrence families walk the sorted distinct indices once and carry
-    the recurrence across every gap: factorial multiplies through the
-    skipped k, multiplicative multiplies by base^gap mod q, and koksma
-    jumps the exact seed by t^gap (`fixed_point_power_stream`).  The other
-    families are direct: k * p for weyl p = 1, one modular power otherwise.
+    Every family walks the sorted distinct indices once.  Factorial multiplies
+    through each gap, multiplicative by base^gap mod q, koksma jumps the exact
+    seed by t^gap (`fixed_point_power_stream`), and self_power reads a table
+    of k^k mod q (`_self_powers`): one pow(k, k, q) per prime k, a few short
+    products per composite.  Weyl and linear families are direct.
     """
     lo, hi = spec.seed_interval()
     if not lo < seed.value < hi:
         raise ValueError(f"seed {seed} outside the family interval ({lo}, {hi})")
+    walk = indices if _ascending(indices) else sorted(set(indices))
+    if walk and walk[0] < 1:
+        raise ValueError(f"generator indices start at 1, got {walk[0]}")
     q, p = seed.denominator, seed.numerator
     fam = spec.family
+    out, acc, k = [], p % q, 0
     if fam == "weyl_power" and spec.power == 1:
-        return [k * p % q for k in indices]
-    if fam == "weyl_power":
-        return [pow(k, spec.power, q) * p % q for k in indices]
-    if fam == "self_power":
-        return [pow(k, k, q) * p % q for k in indices]
-    if fam == "linear_integer":
-        out = []
-        for k in indices:
+        out = [k * p % q for k in walk]
+    elif fam == "weyl_power":
+        out = [pow(k, spec.power, q) * p % q for k in walk]
+    elif fam == "linear_integer":
+        for k in walk:
             c = _descriptor_at(spec.coefficients, k)
             if c < 1:
                 raise ValueError(f"coefficient at index {k} must be positive, got {c}")
             out.append(c % q * p % q)
-        return out
-    walk = indices if _ascending(indices) else sorted(set(indices))
-    out, acc, k = [], p % q, 0
-    if fam == "koksma":
+    elif fam == "self_power":
+        out = _self_powers(walk, q)
+        for i, v in enumerate(out):
+            out[i] = v * p % q
+    elif fam == "koksma":
         out = list(fixed_point_power_stream(seed.value, walk, hi))
     elif fam == "factorial":
         for target in walk:
@@ -301,6 +305,34 @@ def _samples_at(spec: GeneratorSpec, seed: RationalSeed, indices: list[int]) -> 
         return out
     at = dict(zip(walk, out))
     return [at[k] for k in indices]
+
+
+def _self_powers(walk, q: int) -> list[int]:
+    """k^k mod q at strictly ascending indices k >= 1, from a table to `top`.
+
+    Prime k costs one pow(k, k, q); composite k = s j, s its least prime
+    factor, is (s^j j^j)^s with j^j from the table and s^j a running power
+    per prime s, stepped by s^gap.  `top` is the last index k at walk
+    position i with k <= 2i, so the table's at most ceil(top / 2) primes
+    never outnumber the reads it serves; an index above it costs one pow.
+    """
+    top = max((k for i, k in enumerate(walk, 1) if k <= 2 * i), default=0)
+    root = math.isqrt(top)
+    lpf = np.zeros(top + 1, dtype=np.int64)
+    for s in range(root, 1, -1):  # the smallest divisor written last wins
+        lpf[s * s :: s] = s
+    table = lpf.tolist()  # entry k: least prime factor (0 if none), then k^k mod q
+    reach, power = [0] * (root + 1), [1] * (root + 1)  # per prime s: j, s^j mod q
+    for k in range(1, top + 1):
+        s = table[k]
+        if s:
+            j = k // s
+            power[s] = power[s] * pow(s, j - reach[s], q) % q
+            reach[s] = j
+            table[k] = pow(power[s] * table[j] % q, s, q)
+        else:
+            table[k] = pow(k, k, q)
+    return [table[k] if k <= top else pow(k, k, q) for k in walk]
 
 
 def _ascending(values: list) -> bool:

@@ -236,15 +236,13 @@ class MomentTarget:
     n: int | None = None
 
     def __post_init__(self):
-        kinds = ("term_mean", "pair_moment", "abs_sum_mean", "abs_sum_sq_mean")
-        if self.kind not in kinds:
-            raise ValueError(f"target kind must be one of {kinds}")
-        if self.kind == "term_mean" and not self.k:
-            raise ValueError("term_mean needs k")
-        if self.kind == "pair_moment" and not (self.k and self.l):
-            raise ValueError("pair_moment needs k and l")
-        if self.kind in ("abs_sum_mean", "abs_sum_sq_mean") and not self.n:
-            raise ValueError(f"{self.kind} needs n")
+        needs = {"term_mean": "k", "pair_moment": "kl", "abs_sum_mean": "n", "abs_sum_sq_mean": "n"}
+        if self.kind not in needs:
+            raise ValueError(f"target kind must be one of {tuple(needs)}")
+        for name in "kln":
+            v = getattr(self, name)
+            if (v is not None or name in needs[self.kind]) and (type(v) is not int or v < 1):
+                raise ValueError(f"{self.kind} takes {name} as a positive int, got {v!r}")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from equidist.generators import (
     WindowConfig,
     beta_stream,
     stream_floats,
-    windows_array,
 )
 from equidist.stochastic import (
     MomentTarget,
@@ -227,14 +226,12 @@ def test_criterion_06_factorial_complete_equidistribution():
     seeds = [SeedSampler(301).spawn(i).sample() for i in range(32)]
     hits = {(d, m.components): 0 for d in (1, 2, 3) for m in canonical_half(d, 3)}
     for seed in seeds:
-        floats = stream_floats(beta_stream(FACTORIAL, seed, n + 2))
         for d in (1, 2, 3):
-            pts = windows_array(floats, WindowConfig(d=d, h=1), n)
+            scan = criterion_scan(FACTORIAL, seed, WindowConfig(d=d), 3, n)
             # mirror indices carry the conjugate sum, so the canonical
             # half covers every magnitude with sup-norm <= 3
             for m in canonical_half(d, 3):
-                w = weyl_sum(pts, m.components, checkpoints=[n])
-                if w.final_magnitude <= 0.05:
+                if scan.series[m].final_magnitude <= 0.05:
                     hits[(d, m.components)] += 1
     worst = min(hits.values())
     report(

@@ -300,6 +300,49 @@ class TestResidueStream:
             res, _ = residue_stream(spec.permuted(shuffled), seed, 12)
             assert res == [c(k) * p % q for k in shuffled]
 
+    @pytest.mark.parametrize("bits", [16, 64, 256])
+    def test_self_power_table_matches_direct_power(self, bits):
+        seed = SeedSampler(31, bit_width=bits).sample()
+        p, q = seed.numerator, seed.denominator
+        rng = random.Random(bits)
+        n = 2 * 9973 + 54  # the dense table reaches j = 9973 at k = 2 * 9973
+        shuffled = [rng.randrange(1, 3000) for _ in range(400)]
+        layouts = (
+            range(1, n + 1),
+            list(range(1, n + 1)),
+            sorted(rng.sample(range(1, 40 * n), 300)),  # sparse: most sit above the table
+            shuffled + shuffled[:40],  # unsorted, with repeats
+            [1, 2, 3, 4, 9, 25, 49, 961, 9973, 2 * 9973],  # the table stops at 9
+            list(range(1500, 3000)),  # the table runs past the read count, to 2999
+            [2, 100],
+            [10**7],
+            [],
+        )
+        for indices in layouts:
+            want = [pow(k, k, q) * p % q for k in indices]
+            assert _samples_at(GeneratorSpec.self_power(), seed, indices) == want
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GeneratorSpec.weyl(1),
+            GeneratorSpec.weyl(2),
+            GeneratorSpec.multiplicative(2),
+            GeneratorSpec.factorial(),
+            GeneratorSpec.self_power(),
+            GeneratorSpec.linear([3, 1, 4]),
+            GeneratorSpec.koksma(),
+        ],
+        ids=["weyl1", "weyl2", "mult2", "factorial", "self_power", "linear", "koksma"],
+    )
+    def test_indices_below_one_rejected(self, spec):
+        seed = SeedSampler(3, bit_width=64).sample(spec.seed_interval())
+        for indices in ([0], [-1], [3, 0, 2], range(0, 3)):
+            with pytest.raises(ValueError, match="start at 1"):
+                _samples_at(spec, seed, indices)
+        with pytest.raises(ValueError):
+            _scalars_at(spec, seed, [2, 0])
+
     def test_koksma_reader_matches_stream(self):
         sampler = SeedSampler(29, bit_width=64)
         shuffled = list(range(1, 61))

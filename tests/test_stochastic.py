@@ -214,6 +214,22 @@ class TestMomentTarget:
         with pytest.raises(ValueError):
             MomentTarget("abs_sum_sq_mean")
 
+    @pytest.mark.parametrize(
+        "kind, fields",
+        [
+            ("pair_moment", dict(k=-3, l=2)),
+            ("pair_moment", dict(k=3, l=0)),
+            ("pair_moment", dict(k=0.5, l=2)),
+            ("term_mean", dict(k=True)),
+            ("abs_sum_mean", dict(n=-4)),
+            ("abs_sum_sq_mean", dict(n=2.0)),
+            ("term_mean", dict(k=2, n=0)),
+        ],
+    )
+    def test_indices_are_positive_ints(self, kind, fields):
+        with pytest.raises(ValueError):
+            MomentTarget(kind, **fields)
+
 
 class TestMcMoment:
     def test_term_mean_consistent_with_zero(self):

@@ -372,13 +372,18 @@ class TestPhaseKernel:
             want = _reference_weyl(points, m, scan.checkpoints)
             assert max(abs(a - b) for a, b in zip(scan.series[m].values, want)) <= W_BOUND
 
-    def test_interleaved_scan_matches_fraction_reference(self):
+    @pytest.mark.parametrize(
+        "spec, d",
+        [(GeneratorSpec.factorial(), 2), (GeneratorSpec.self_power(), 3)],
+        ids=["factorial", "self_power"],
+    )
+    def test_interleaved_scan_matches_fraction_reference(self, spec, d):
         n = 300
-        seeds = [SeedSampler(29, bit_width=64).spawn(j).sample() for j in range(2)]
-        cfg = WindowConfig(d=2, construction="interleaved_a")
-        scan = criterion_scan(GeneratorSpec.factorial(), seeds, cfg, 2, n)
-        points = interleaved_vectors(GeneratorSpec.factorial(), seeds, n)
-        for m in canonical_half(2, 2):
+        seeds = [SeedSampler(29, bit_width=64).spawn(j).sample() for j in range(d)]
+        cfg = WindowConfig(d=d, construction="interleaved_a")
+        scan = criterion_scan(spec, seeds, cfg, 2, n)
+        points = interleaved_vectors(spec, seeds, n)
+        for m in canonical_half(d, 2):
             want = _reference_weyl(points, m, scan.checkpoints)
             assert max(abs(a - b) for a, b in zip(scan.series[m].values, want)) <= W_BOUND
 
