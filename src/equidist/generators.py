@@ -72,6 +72,8 @@ class ArithmeticIndices:
 
 
 def _descriptor_at(desc, i: int) -> int:
+    if i < 1:
+        raise ValueError(f"descriptor positions start at 1, got {i}")
     if isinstance(desc, ArithmeticIndices):
         return desc.at(i)
     if i > len(desc):

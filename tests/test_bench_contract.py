@@ -3,11 +3,10 @@
 `perfbench/tracer.py` installs its layer wrappers by (module, attribute)
 and (module, class, method); a renamed or deleted target would only show
 up as a failed `--trace 1` run, so it is checked here.  The golden replay
-runs pool entry 0 of the Weyl scan kinds, of the seed-averaged job kinds,
-of the koksma power kinds and of the CLI kinds that read samples through
-the benchmark's own job runner and checker, so a change that moves their
-results beyond the golden tolerance fails here rather than in a benchmark
-run.
+runs pool entry 0 of every job kind of every workload, CLI calls included,
+through the benchmark's own job runner and checker, so a change that moves
+a result, a verdict or an exit code beyond the golden tolerance fails here
+rather than in a benchmark run.
 """
 
 import importlib
@@ -55,15 +54,7 @@ def _perfbench_modules():
 
 
 harness, jobs = _perfbench_modules()
-REPLAYED = (
-    [(kind, "weyl_scan") for kind in jobs.WORKLOADS["weyl_scan"].kinds]
-    + [(kind, "mc_sweep") for kind in jobs.WORKLOADS["mc_sweep"].kinds]
-    + [(kind, "koksma_power") for kind in jobs.WORKLOADS["koksma_power"].kinds]
-    + [
-        (kind, "cli_batch")
-        for kind in ("wcud", "covariance", "discrepancy", "generate_csv", "weyl_pass")
-    ]
-)
+REPLAYED = [(kind, name) for name, wl in jobs.WORKLOADS.items() for kind in wl.kinds]
 
 
 @pytest.mark.parametrize("kind, workload", REPLAYED)

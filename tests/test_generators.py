@@ -112,6 +112,15 @@ class TestBetaStreams:
         with pytest.raises(ValueError):
             beta_stream(GeneratorSpec.factorial().permuted([0, 1]), FIFTH, 2)
 
+    @pytest.mark.parametrize(
+        "perm", [[5, 6, 7], ArithmeticIndices(2, 3)], ids=["tuple", "arithmetic"]
+    )
+    @pytest.mark.parametrize("position", [0, -1])
+    def test_position_below_one_rejected(self, perm, position):
+        # a tuple would be read from its end, ArithmeticIndices below its start
+        with pytest.raises(ValueError):
+            generators._indices_at(GeneratorSpec.factorial().permuted(perm), [position])
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             GeneratorSpec.weyl(0)

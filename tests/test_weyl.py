@@ -19,10 +19,12 @@ from equidist.generators import (
     unit_float,
 )
 from equidist.weyl import (
+    _CHUNK,
     MultiIndex,
     WeylSeries,
     _phase_columns,
     _ratio_column,
+    _scan_table,
     _term_chunks,
     canonical_half,
     checkpoint_grid,
@@ -386,6 +388,62 @@ class TestPhaseKernel:
         for m in canonical_half(d, 2):
             want = _reference_weyl(points, m, scan.checkpoints)
             assert max(abs(a - b) for a, b in zip(scan.series[m].values, want)) <= W_BOUND
+
+
+def _factor_bound(d: int) -> float:
+    """Per part |W_N| gap between `criterion_scan` and the word path: its terms are within
+    d E_BOUND + (d - 1) 2^-52 of e(m . x_k), the word path's within E_BOUND, and one
+    more 2^-52 covers the two paths' segment sums."""
+    return (d + 1) * E_BOUND + d * 2.0**-52
+
+
+class TestFactorScan:
+    # n_max = 2^13 - 1, 2^13, 2^13 + 1, 3 2^13 + 5 puts the last checkpoint on and next to a
+    # chunk edge, where the segment sums are cut
+    @pytest.mark.parametrize(
+        "spec, cfg, radius, n",
+        [
+            (GeneratorSpec.factorial(), WindowConfig(d=3), 3, 3 * _CHUNK + 5),
+            (GeneratorSpec.multiplicative(3), WindowConfig(d=2), 3, _CHUNK),
+            (GeneratorSpec.weyl(2), WindowConfig(d=3), 2, _CHUNK + 1),
+            (GeneratorSpec.self_power(), WindowConfig(d=1), 3, _CHUNK - 1),
+            (GeneratorSpec.koksma(), WindowConfig(d=2), 1, _CHUNK + 1),
+            (GeneratorSpec.factorial(), WindowConfig(d=2, h=2, o=1), 2, _CHUNK),
+            (GeneratorSpec.multiplicative(2).permuted(range(_CHUNK + 1, 0, -1)),
+             WindowConfig(d=2), 1, _CHUNK),
+            (GeneratorSpec.factorial(), WindowConfig(d=3, construction="interleaved_a"), 2,
+             _CHUNK + 1),
+        ],
+        ids=["factorial", "mult3", "weyl2", "self_power", "koksma", "h2_o1", "permuted", "interleaved"],
+    )
+    def test_matches_word_path(self, spec, cfg, radius, n):
+        sampler = SeedSampler(31, bit_width=64)
+        if cfg.construction == "interleaved_a":
+            seed = [sampler.spawn(j).sample() for j in range(cfg.d)]
+        else:
+            seed = sampler.sample(spec.seed_interval())
+        scan = criterion_scan(spec, seed, cfg, radius, n)
+        table = _scan_table(spec, seed, cfg, n, radius)
+        for m in multi_indices(cfg.d, radius):
+            got = np.array(scan.series[m].values)
+            want = np.array(weyl_sum(table, m, scan.checkpoints).values)
+            if sum(1 for c in m.components if c) == 1:  # no product: the word path's terms
+                assert got.tobytes() == want.tobytes()
+            err = np.maximum(np.abs(got.real - want.real), np.abs(got.imag - want.imag))
+            assert err.max() <= _factor_bound(cfg.d)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_degenerate_series_is_the_word_sum(self, p):
+        # factor products would round |W_N| away from the word path's constant phase
+        spec, cfg = GeneratorSpec.weyl(p), WindowConfig(d=p + 1)
+        seed = SeedSampler(37).sample()
+        scan = criterion_scan(spec, seed, cfg, 3, 2000)
+        table = _scan_table(spec, seed, cfg, 2000, 3)
+        m = degenerate_m_weyl(p)
+        for key in (m, -m):
+            want = weyl_sum(table, key, scan.checkpoints).values
+            assert np.array(scan.series[key].values).tobytes() == np.array(want).tobytes()
+        assert scan.worst_m in (m, -m)
 
 
 class TestWeylSeries:
