@@ -15,9 +15,10 @@ in the caller's order, exact residues for the integer families and
 
 Every sample is a ratio of integers (`UnitSample.ratio`, `_ratios_at`):
 residue / q, or koksma's mantissa / 2^64 after `frac` wraps a rescale that
-rounded up to 1.  Weyl phases are built from the ratios in integers
-(`weyl._ratio_column`); floats come only from `unit_float`, one correct
-rounding clamped below 1, so a mantissa of 2^64 - 1 is 1 - 2^-53, not 1.0.
+rounded up to 1.  Weyl phases, in `criterion_scan` and the Monte-Carlo
+engine alike, are built from the ratios in integers (`weyl._unit_words`);
+floats come only from `unit_float`, one correct rounding clamped below 1,
+so a mantissa of 2^64 - 1 is 1 - 2^-53, not 1.0.
 
 Multidimensional points come from two constructions over scalar streams:
 interleaved blocks over d independent seeds, or sliding/shifted windows

@@ -10,11 +10,13 @@ exact certificates here; everything else is estimated by averaging over a
 reproducible stream of sampled seeds and reported with a standard error.
 
 Every seed-averaged statistic runs on one engine (`_seed_rows`).  It
-rejects n_seeds < 2 and the interleaved_a construction (which takes d seeds
-per point), draws all seeds from the master rng up front, maps one row job
-per seed, and returns the rows in seed order.  Each estimate is then the
-column mean of those rows with standard error std(ddof=1) / sqrt(n_seeds)
-(`_mean_stderr`), so results are bit-identical for any worker count.
+rejects n_seeds < 2, the interleaved_a construction (which takes d seeds
+per point) and an m of another dimension than the windows, draws all seeds
+from the master rng up front, maps one row job per seed (its terms summed
+from phase words of the exact samples, no float crossing), and returns the
+rows in seed order.  Each estimate is then the column mean of those rows
+with standard error std(ddof=1) / sqrt(n_seeds) (`_mean_stderr`), so
+results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -34,13 +36,15 @@ from .generators import (
     WindowConfig,
     _descriptor_at,
     _indices_at,
-    _scalars_at,
+    _ratios_at,
 )
 from .weyl import (
     MultiIndex,
+    PhaseTable,
+    _scan_table,
+    _unit_words,
     as_multi_index,
     checkpoint_grid,
-    scan_points,
     unit_terms,
 )
 
@@ -147,13 +151,9 @@ def _window_positions(cfg: WindowConfig, ks) -> list[list[int]]:
 
 def _window_terms_at(spec, seed, cfg: WindowConfig, m: MultiIndex, ks) -> np.ndarray:
     """Y_k = e(m . window_k) for the requested window indices."""
-    positions = _window_positions(cfg, ks)
-    values = _scalars_at(spec, seed, [p for row in positions for p in row])
-    return unit_terms(values.reshape(len(positions), cfg.d), m)
-
-
-def _term_prefix(spec, seed, cfg, m: MultiIndex, count: int) -> np.ndarray:
-    return unit_terms(scan_points(spec, seed, cfg, count), m)
+    nums, q = _ratios_at(spec, seed, [p for row in _window_positions(cfg, ks) for p in row])
+    words = _unit_words(nums, [q] * len(nums)).reshape(-1, cfg.d)
+    return unit_terms(PhaseTable(words.T), m)
 
 
 def _window_row(job) -> np.ndarray:
@@ -170,16 +170,18 @@ def _window_row(job) -> np.ndarray:
 def _prefix_row(job) -> np.ndarray:
     """One seed's |S_n| at the requested increasing n."""
     spec, cfg, m, ns, seed = job
-    prefix = np.cumsum(_term_prefix(spec, seed, cfg, m, ns[-1]))
+    prefix = np.cumsum(unit_terms(_scan_table(spec, seed, cfg, ns[-1]), m))
     return np.abs(prefix[np.asarray(ns) - 1])
 
 
-def _require_sliding(cfg: WindowConfig) -> None:
+def _require_sliding(cfg: WindowConfig, m: MultiIndex) -> None:
     if cfg.construction != "sliding_bc":
         raise ValueError(
             "seed-averaged statistics window one seed's stream (sliding_bc); "
             "interleaved_a takes d seeds per point"
         )
+    if m.d != cfg.d:
+        raise ValueError(f"multi-index {m} has d = {m.d}, but the windows have d = {cfg.d}")
 
 
 def _draw_seeds(interval, n_seeds: int, master_seed: int, bit_width: int) -> list[RationalSeed]:
@@ -207,7 +209,7 @@ def _pmap(fn, items, workers: int):
 
 def _seed_rows(job, spec, cfg, m, arg, n_seeds, master_seed, bit_width, workers) -> list:
     """job((spec, cfg, m, arg, seed)) for every drawn seed, in seed order."""
-    _require_sliding(cfg)
+    _require_sliding(cfg, m)
     if n_seeds < 2:
         raise ValueError("n_seeds must be at least 2 for a standard error")
     seeds = _draw_seeds(spec.seed_interval(), n_seeds, master_seed, bit_width)
@@ -522,6 +524,7 @@ def lemma3_check(
     above 0.25) fails the decay hypothesis.
     """
     m = as_multi_index(m)
+    _require_sliding(cfg, m)
     gap = math.isqrt(n - 1) + 1
     if 2 * gap > n:
         raise ValueError(f"n={n} too small for far pairs (needs n >= {2 * gap})")
@@ -533,7 +536,6 @@ def lemma3_check(
         pairs.append((k, l))
     pairs = sorted(set(pairs))
     if spec.exact:
-        _require_sliding(cfg)
         w = _window_sums(spec, cfg, m, {k for pair in pairs for k in pair})
         mean = np.array([2.0 if w[k] == w[l] else 0.0 for k, l in pairs])
         stderr = np.zeros_like(mean)
@@ -642,11 +644,13 @@ class GammaStream:
         if self.bits_per_uniform < 1:
             raise ValueError("bits_per_uniform must be positive")
 
+    def _index_grid(self, count: int) -> np.ndarray:
+        """gamma_index(i, j) over i <= count, j <= bits_per_uniform, in its closed form."""
+        i, j = np.ogrid[1 : count + 1, 1 : self.bits_per_uniform + 1]
+        return (i + j - 1) * (i + j) // 2 - (i - 1)
+
     def index_table(self, count: int) -> list[list[int]]:
-        return [
-            [gamma_index(i, j) for j in range(1, self.bits_per_uniform + 1)]
-            for i in range(1, count + 1)
-        ]
+        return self._index_grid(count).tolist()
 
     def uniforms(self, count: int) -> np.ndarray:
         if count < 0:
@@ -655,7 +659,7 @@ class GammaStream:
             return np.zeros(0)
         needed = gamma_index(count, self.bits_per_uniform)
         bits = np.array(self.bit_source.bits(needed), dtype=np.uint8)
-        table = np.array(self.index_table(count)) - 1
+        table = self._index_grid(count) - 1
         # digit by digit over all uniforms at once: every uniform sees the
         # same sequence of float additions as a per-uniform loop would
         out = np.zeros(count)

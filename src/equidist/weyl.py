@@ -7,12 +7,13 @@ trajectory pinned at magnitude 1 certifies the opposite: the phases
 m . beta_k are constant, and m is a degenerate direction for the family.
 
 Numerical contract.  A phase is a uint64 u standing for u / 2^64 mod 1, and
-e(phase) has one kernel (`_unit_circle`).  Exact points (UnitSample vectors,
-rational tuples, the samples `criterion_scan` reads) give each coordinate's
-ratio n/q the word floor(2^64 frac(r n / q)), r = |m_j| (`_ratio_column`), and
-m . beta_k is the wraparound sum of the words: exact mod 1 up to one floor per
-nonzero m_j (under d 2^-64), so an identity M x_k = x_{k+1} gives phase 0 and
-e = 1 exactly.  Float rows are read as floor(x 2^64), x itself for x >= 2^-12.
+e(phase) has one kernel (`_unit_circle`).  Each coordinate x has one phase word
+floor(2^64 frac(x)), less than a unit of 2^-64 below it: exact samples (UnitSample,
+rationals, what `criterion_scan` and the Monte-Carlo engine read) from their ratio
+in integers (`_unit_words`), float rows as floor(x 2^64).  The phase of m . x_k,
+the wraparound sum of m_j times the words, is thus within ||m||_1 units of the exact
+one, in [-sum_{m_j > 0} m_j, sum_{m_j < 0} |m_j|]: an identity M x_k = x_{k+1} gives
+phases within M units of 0, e() with a real part of exactly 1.0, and |W_N| = 1.
 e() is within 2.3e-16 per part (2.2e-16 measured against a 200-bit reference,
 where cos/sin of a rounded float phase were off by up to 1.0e-15).  `criterion_scan`
 multiplies factors e(m_j x_kj), within d 2.3e-16 + (d - 1) 2^-52 per part, and sums
@@ -201,61 +202,44 @@ def _unit_circle(u: np.ndarray) -> np.ndarray:
 
 
 def _term_chunks(columns: list, n: int):
-    """(start, e(u_k / 2^64) of the chunk) for k < n: u_k sums +-v[k] mod 2^64 over
-    the (c, v) of `columns`, v the uint64 words of |c| x or floats x in [0, 1)."""
+    """(start, e(u_k / 2^64) of the chunk) for k < n, u_k = sum c w[k] mod 2^64 over `columns`."""
     for a in range(0, n, _CHUNK):
         u = np.zeros(min(_CHUNK, n - a), dtype=np.uint64)
-        for c, v in columns:
-            v = v[a : a + len(u)]
-            if v.dtype != np.uint64:  # read as floor(x 2^64), times |c| mod 2^64
-                v = np.ldexp(v, 64).astype(np.uint64) * np.uint64(abs(c))
-            (np.add if c > 0 else np.subtract)(u, v, out=u)
+        for c, w in columns:
+            (np.add if c > 0 else np.subtract)(u, w[a : a + len(u)] * np.uint64(abs(c)), out=u)
         yield a, _unit_circle(u)
 
 
-def _ratio_column(nums: list, dens: list, radius: int) -> tuple[np.ndarray, ...]:
-    """floor(2^64 frac(r n / q)), r = 1..radius, per n in `nums` over its q in `dens`: with
-    floor(2^128 frac(n / q)) = hi 2^64 + lo it is r hi + floor(r lo / 2^64) mod 2^64, redone
-    in integers where r lo mod 2^64 > 2^64 - r lets the dropped fraction carry."""
-    out = tuple(np.empty(len(nums), dtype=np.uint64) for _ in range(radius))
-    for a in range(0, len(nums), _CHUNK):  # in chunks, so the temporaries stay small
-        block = zip(nums[a : a + _CHUNK], dens[a : a + _CHUNK])
-        words = (((n % q << 128) // q).to_bytes(16, "little") for n, q in block)
-        lo, hi = np.fromiter(words, "S16").view("<u8").reshape(-1, 2).T
-        lo_hi, lo_lo = lo >> 32, lo & (2**32 - 1)
-        for r, col in enumerate(out, start=1):
-            col[a : a + len(lo)] = hi * r + ((lo_hi * r + (lo_lo * r >> 32)) >> 32)
-            for i in np.flatnonzero(lo * r > 2**64 - r) + a:
-                col[i] = (r * nums[i] % dens[i] << 64) // dens[i]
-    return out
+def _unit_words(nums, dens) -> np.ndarray:
+    """The phase words floor(2^64 frac(n / q)) of the ratios n / q, n any integer."""
+    return np.fromiter(((n % q << 64) // q for n, q in zip(nums, dens)), dtype=np.uint64)
 
 
 class PhaseTable(tuple):
-    """Words of exact points: self[j][r - 1][k] = floor(2^64 frac(r x_kj))."""
+    """Phase words of points: self[j][k] = floor(2^64 frac(x_kj))."""
 
 
 def _phase_columns(points, m: MultiIndex) -> tuple[list, int]:
-    """The (weight, column) pairs `_term_chunks` sums for m, and the point count, of a
-    `PhaseTable`, a float (N, d) array in [0, 1), or a list of points read as a table
-    of each coordinate's exact ratio (`UnitSample.ratio`, or a number's, floats too)."""
-    if not isinstance(points, (PhaseTable, np.ndarray)):
+    """The (weight, words) pairs `_term_chunks` sums for m, and the point count, of a
+    `PhaseTable`, a float (N, d) array in [0, 1), or a list of points read through each
+    coordinate's exact ratio (`UnitSample.ratio`, or a number's, floats too)."""
+    if isinstance(points, np.ndarray):
+        if points.ndim != 2 or points.shape[1] != m.d:
+            raise ValueError("expected a (N, d) float array")
+        if points.size and not (points.min() >= 0.0 and points.max() < 1.0):
+            raise ValueError("float points must lie in [0, 1)")
+        points = PhaseTable(np.ldexp(points, 64).astype(np.uint64).T)
+    elif not isinstance(points, PhaseTable):
         points = list(points)
         if any(len(vec) != m.d for vec in points):
             raise ValueError("point dimension does not match multi-index")
-        ratios = [[s.ratio if isinstance(s, UnitSample) else Fraction(s).as_integer_ratio()
-                   for s in vec] for vec in points]
-        points = PhaseTable(_ratio_column([v[j][0] for v in ratios], [v[j][1] for v in ratios],
-                                          max(map(abs, m.components))) for j in range(m.d))
-    if isinstance(points, PhaseTable):
-        if m.d != len(points) or max(map(abs, m.components)) > len(points[0]):
-            raise ValueError(f"m = {m} exceeds the table's dimension or radius")
-        return [(c, t[abs(c) - 1]) for c, t in zip(m.components, points) if c], len(points[0][0])
-    if points.ndim != 2 or points.shape[1] != m.d:
-        raise ValueError("expected a (N, d) float array")
-    columns = [(c, points[:, j].astype(float, copy=False)) for j, c in enumerate(m.components) if c]
-    if any(len(x) and not (x.min() >= 0.0 and x.max() < 1.0) for _, x in columns):
-        raise ValueError("float points must lie in [0, 1)")
-    return columns, len(points)
+        ratios = [s.ratio if isinstance(s, UnitSample) else Fraction(s).as_integer_ratio()
+                  for vec in points for s in vec]
+        words = _unit_words([n for n, _ in ratios], [q for _, q in ratios])
+        points = PhaseTable(words.reshape(-1, m.d).T)
+    if m.d != len(points):
+        raise ValueError(f"m = {m} does not match the table's dimension {len(points)}")
+    return [(c, w) for c, w in zip(m.components, points) if c], len(points[0])
 
 
 def unit_terms(points, m) -> np.ndarray:
@@ -333,15 +317,14 @@ def scan_points(spec: GeneratorSpec, seed, cfg: WindowConfig, count: int) -> np.
     return windows_array(columns[0], cfg, count)
 
 
-def _scan_table(spec: GeneratorSpec, seed, cfg: WindowConfig, count: int, radius: int):
-    """The windows of `scan_points` as a phase table of the exact samples."""
+def _scan_table(spec: GeneratorSpec, seed, cfg: WindowConfig, count: int) -> PhaseTable:
+    """The windows of `scan_points` as the phase words of the exact samples."""
     reads = (_ratios_at(spec, s, at) for s, at in _stream_reads(spec, seed, cfg, count))
-    streams = [_ratio_column(nums, [q] * len(nums), radius) for nums, q in reads]
+    streams = [_unit_words(nums, [q] * len(nums)) for nums, q in reads]
     if cfg.construction == "interleaved_a":
         return PhaseTable(streams)
     stop = cfg.o + (count - 1) * cfg.h + 1
-    return PhaseTable(tuple(t[cfg.o + j : stop + j : cfg.h] for t in streams[0])
-                      for j in range(cfg.d))
+    return PhaseTable(streams[0][cfg.o + j : stop + j : cfg.h] for j in range(cfg.d))
 
 
 def criterion_scan(
@@ -353,14 +336,15 @@ def criterion_scan(
 ) -> ScanResult:
     """Weyl series on checkpoint_grid(n_max) for each nonzero m, sup-norm <= m_radius.
 
-    The phase tables are built once per seed; per chunk, d * m_radius e() calls give the
+    The phase words are built once per seed; per chunk, d * m_radius e() calls give the
     factors whose products are each canonical m's terms, its mirror a conjugate.
     """
     cps = tuple(checkpoint_grid(n_max))
-    table = _scan_table(spec, seed, cfg, n_max, m_radius)
+    table = _scan_table(spec, seed, cfg, n_max)
+    radii = [np.uint64(r) for r in range(1, m_radius + 1)]
     segments = {m: [] for m in canonical_half(cfg.d, m_radius)}
     for a in range(0, n_max, _CHUNK):  # factors[j][c] = e(c x_kj), factors[j][-c] its conjugate
-        cols = ([_unit_circle(w[a : a + _CHUNK]) for w in col] for col in table)
+        cols = ([_unit_circle(w[a : a + _CHUNK] * r) for r in radii] for w in table)
         factors = [[None, *f, *map(np.conj, reversed(f))] for f in cols]
         for m, segs in segments.items():  # factors are shared: read, never written
             picked = [f[c] for f, c in zip(factors, m.components) if c]

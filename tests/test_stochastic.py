@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equidist import stochastic
+from equidist import generators, stochastic
 from equidist.arithmetic import RationalSeed, SeedSampler
 from equidist.generators import ArithmeticIndices, GeneratorSpec, WindowConfig
 from equidist.stochastic import (
@@ -450,6 +450,11 @@ class TestLemma3:
         with pytest.raises(ValueError, match="interleaved_a"):
             lemma3_check(FACTORIAL, cfg, (1, 1), 100)
 
+    @pytest.mark.parametrize("spec", [FACTORIAL, GeneratorSpec.koksma()], ids=["exact", "koksma"])
+    def test_rejects_dimension_mismatch(self, spec):
+        with pytest.raises(ValueError, match="d = 1, but the windows have d = 2"):
+            lemma3_check(spec, D2, (1,), 100, n_seeds=4, bit_width=64)
+
 
 KOKSMA = GeneratorSpec.koksma()
 
@@ -489,6 +494,19 @@ class TestSeedEngine:
         cfg = WindowConfig(d=d, construction="interleaved_a")
         with pytest.raises(ValueError, match="interleaved_a"):
             entry(cfg, n_seeds=4)
+
+    def test_no_sample_crosses_into_floats(self, entry, monkeypatch):
+        # design rule 2: the engine sums phase words of the exact samples
+        def refuse(numerator, denominator):
+            raise AssertionError("a sample crossed into a float")
+
+        monkeypatch.setattr(generators, "unit_float", refuse)
+        entry(WindowConfig(d=2, h=1, o=1), n_seeds=4, master_seed=5)
+
+
+def test_mc_statistic_rejects_dimension_mismatch():
+    with pytest.raises(ValueError, match="d = 2, but the windows have d = 1"):
+        wcud_check(FACTORIAL, D1, (1, -1), 200, n_seeds=4)
 
 
 class TestSeedMemo:
@@ -558,13 +576,13 @@ class TestTermPaths:
         ids=["multiplicative", "permuted", "koksma"],
     )
     def test_sparse_windows_match_prefix_bit_for_bit(self, spec, h):
-        from equidist.stochastic import _term_prefix, _window_terms_at
-        from equidist.weyl import MultiIndex
+        from equidist.stochastic import _window_terms_at
+        from equidist.weyl import MultiIndex, _scan_table, unit_terms
 
         seed = SeedSampler(6, bit_width=64).sample(spec.seed_interval())
         cfg = WindowConfig(d=3, h=h, o=1)
         m = MultiIndex((3, -2, 3))
-        prefix = _term_prefix(spec, seed, cfg, m, 40)
+        prefix = unit_terms(_scan_table(spec, seed, cfg, 40), m)
         ks = [40, 7, 1, 7, 23]
         got = _window_terms_at(spec, seed, cfg, m, ks)
         assert got.tolist() == [prefix[k - 1] for k in ks]
@@ -628,6 +646,14 @@ class TestGammaStream:
             data[(idx - 1) >> 3] |= 1 << (7 - ((idx - 1) & 7))
         xs = gamma_stream(BytesBitSource(bytes(data)), 4, bits_per_uniform=1)
         assert list(xs) == [0.5, 0.0, 0.5, 0.0]
+
+    @pytest.mark.parametrize("count", [0, 1, 7])
+    @pytest.mark.parametrize("bits", [1, 32])
+    def test_index_table_is_the_scalar_index(self, count, bits):
+        got = GammaStream(None, bits_per_uniform=bits).index_table(count)
+        want = [[gamma_index(i, j) for j in range(1, bits + 1)] for i in range(1, count + 1)]
+        assert got == want
+        assert all(type(v) is int for row in got for v in row)
 
     def test_index_table_rows_are_disjoint(self):
         table = GammaStream(None, bits_per_uniform=7).index_table(5)

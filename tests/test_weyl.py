@@ -23,9 +23,9 @@ from equidist.weyl import (
     MultiIndex,
     WeylSeries,
     _phase_columns,
-    _ratio_column,
     _scan_table,
     _term_chunks,
+    _unit_words,
     canonical_half,
     checkpoint_grid,
     criterion_scan,
@@ -191,14 +191,13 @@ class TestWeylSum:
             got = _exact_phases(points, MultiIndex(m))
             assert got.tobytes() == _fraction_phases(points, m).tobytes()
             assert np.all((got >= 0.0) & (got < 1.0))
-            # the kernel's fixed-point phases take one floor per nonzero m_j:
-            # u - 2^64 phase lies in [-#(m_j > 0), #(m_j < 0)] units of 2^-64
+            # each word is floor(2^64 x_j), under one unit below 2^64 x_j, so
+            # u - 2^64 phase lies in [-sum(m_j > 0), sum(|m_j| : m_j < 0)] units of 2^-64
             m = MultiIndex(m)
             columns, n = _phase_columns(points, m)
-            kernel = [sum((1 if c > 0 else -1) * int(v[k]) for c, v in columns) % 2**64
-                      for k in range(n)]
-            pos = sum(1 for c in m.components if c > 0)
-            neg = sum(1 for c in m.components if c < 0)
+            kernel = [sum(c * int(w[k]) for c, w in columns) % 2**64 for k in range(n)]
+            pos = sum(c for c in m.components if c > 0)
+            neg = sum(-c for c in m.components if c < 0)
             for u, (n, q) in zip(kernel, _exact_phase_ratios(points, m)):
                 gap = (u - Fraction(n << 64, q) + 2**63) % 2**64 - 2**63
                 assert -pos <= gap <= neg
@@ -243,7 +242,7 @@ PI_DIGITS = (
 PI_2_200 = math.floor(Fraction(PI_DIGITS) * 2**200)
 E_BOUND = 2.3e-16  # per component, stated in weyl._unit_circle
 REF_ERROR = 2.0**-53  # math.cos/sin of a correctly rounded angle, plus its low-order correction
-# |W_N - reference| at N <= 300: the e() bound on both components, d 2^-64 of
+# |W_N - reference| at N <= 300: the e() bound on both components, ||m||_1 2^-64 of
 # phase, and the rounding of the pairwise segment sums and their division by N
 W_BOUND = 1e-15
 
@@ -311,31 +310,35 @@ class TestPhaseKernel:
         assert np.all(np.sign(im) == [1, -1, 1, -1, 1])
 
     def test_signed_columns_wrap(self):
-        # word columns enter with the sign of their weight; float columns times |weight|
+        # each word column enters times its weight, mod 2^64; float rows become words once
         rng = np.random.default_rng(3)
         a, b = (rng.integers(0, 2**64, size=500, dtype=np.uint64) for _ in range(2))
         x = rng.random(500)
         words = np.ldexp(x, 64).astype(np.uint64)
-        got = _terms([(1, a), (-1, b), (2, b), (-3, x)], 500)
-        want = _terms([(1, a), (-1, words * np.uint64(3))], 500)
+        columns, _ = _phase_columns(x[:, None], MultiIndex((-3,)))
+        assert np.array_equal(columns[0][1], words)
+        got = _terms([(1, a), (-1, b), (2, b), (-3, words)], 500)
+        want = _terms([(1, a + b - np.uint64(3) * words)], 500)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
-    def test_ratio_column_is_the_exact_floor(self):
+    def test_unit_words_is_the_exact_floor(self):
         rng = random.Random(5)
-        ratios = [(1, 3), (2, 5), (5, 6), (2**64 - 1, 2**64), (0, 7)]
+        ratios = [(1, 3), (2, 5), (5, 6), (2**64 - 1, 2**64), (0, 7), (-1, 3), (7, 7)]
         for bits in (8, 64, 65, 256, 300):
             for _ in range(40):
                 q = rng.randrange(2, 2**bits)
                 ratios.append((rng.randrange(-(q**2), q**2), q))
-        radius = 6
-        columns = _ratio_column([n for n, _ in ratios], [q for _, q in ratios], radius)
-        for r, col in enumerate(columns, start=1):
-            assert col.tolist() == [(r * n % q << 64) // q for n, q in ratios]
+        words = _unit_words([n for n, _ in ratios], [q for _, q in ratios])
+        assert words.dtype == np.uint64
+        assert words.tolist() == [math.floor(Fraction(n, q) % 1 * 2**64) for n, q in ratios]
 
-    def test_exact_multiple_of_one_turn_is_exactly_one(self):
-        # 3 * (1/3) is an integer: its word is exactly 0, not 2^64 - 1, so e = 1 + 0j
+    def test_exact_multiple_of_one_turn_has_real_part_one(self):
+        # 3 * (1/3) is an integer, and 3 floor(2^64 / 3) = 2^64 - 1: the phase is within
+        # ||m||_1 units of 2^-64 of 0, so e() has a real part of exactly 1.0
         for x, m in ((Fraction(1, 3), 3), (Fraction(2, 5), 5), (Fraction(5, 6), 6)):
-            assert weyl_sum([(x,)], (m,)).values[0] == 1 + 0j
+            value = weyl_sum([(x,)], (m,)).values[0]
+            assert value.real == 1.0
+            assert abs(value.imag) <= 2 * math.pi * m * 2.0**-64
 
     def test_float_row_just_below_one(self):
         x = 1 - 2.0**-53
@@ -423,7 +426,7 @@ class TestFactorScan:
         else:
             seed = sampler.sample(spec.seed_interval())
         scan = criterion_scan(spec, seed, cfg, radius, n)
-        table = _scan_table(spec, seed, cfg, n, radius)
+        table = _scan_table(spec, seed, cfg, n)
         for m in multi_indices(cfg.d, radius):
             got = np.array(scan.series[m].values)
             want = np.array(weyl_sum(table, m, scan.checkpoints).values)
@@ -438,7 +441,7 @@ class TestFactorScan:
         spec, cfg = GeneratorSpec.weyl(p), WindowConfig(d=p + 1)
         seed = SeedSampler(37).sample()
         scan = criterion_scan(spec, seed, cfg, 3, 2000)
-        table = _scan_table(spec, seed, cfg, 2000, 3)
+        table = _scan_table(spec, seed, cfg, 2000)
         m = degenerate_m_weyl(p)
         for key in (m, -m):
             want = weyl_sum(table, key, scan.checkpoints).values
