@@ -16,7 +16,10 @@ from the master rng up front, maps one row job per seed (its terms summed
 from phase words of the exact samples, no float crossing), and returns the
 rows in seed order.  Each estimate is then the column mean of those rows
 with standard error std(ddof=1) / sqrt(n_seeds) (`_mean_stderr`), so
-results are bit-identical for any worker count.
+results are bit-identical for any worker count.  One input needs no seed:
+when the family's closed form proves every window frequency w_k zero
+(`_zero_frequency`), every Y_k is 1 for every seed, so the |S_n| rows are
+exactly n and the engine returns them without drawing.
 """
 
 from __future__ import annotations
@@ -168,10 +171,31 @@ def _window_row(job) -> np.ndarray:
 
 
 def _prefix_row(job) -> np.ndarray:
-    """One seed's |S_n| at the requested increasing n."""
-    spec, cfg, m, ns, seed = job
-    prefix = np.cumsum(unit_terms(_scan_table(spec, seed, cfg, ns[-1]), m))
-    return np.abs(prefix[np.asarray(ns) - 1])
+    """One seed's |S_n| at the increasing n whose indices n - 1 the int array `at` holds."""
+    spec, cfg, m, at, seed = job
+    prefix = np.cumsum(unit_terms(_scan_table(spec, seed, cfg, int(at[-1]) + 1), m))
+    return np.abs(prefix[at])
+
+
+def _zero_frequency(spec: GeneratorSpec, m: MultiIndex) -> bool:
+    """Whether the family's closed form proves w_k = 0 for every window k, any h and o.
+
+    Window k reads c_{s+1} .. c_{s+d}, s = (k-1)h + o.  Multiplicative:
+    w_k = M^(s+1) sum_j m_j M^(j-1).  weyl_power p: w_k = sum_i C(p, i)
+    s^(p-i) sum_j m_j j^i.  Other families, and any permuted stream, are
+    not certified.
+    """
+    if spec.permutation is not None:
+        return False
+    comps = m.components
+    if spec.family == "multiplicative":
+        return sum(c * spec.base**j for j, c in enumerate(comps)) == 0
+    if spec.family == "weyl_power":
+        return all(
+            sum(c * j**i for j, c in enumerate(comps, start=1)) == 0
+            for i in range(spec.power + 1)
+        )
+    return False
 
 
 def _require_sliding(cfg: WindowConfig, m: MultiIndex) -> None:
@@ -208,10 +232,23 @@ def _pmap(fn, items, workers: int):
 
 
 def _seed_rows(job, spec, cfg, m, arg, n_seeds, master_seed, bit_width, workers) -> list:
-    """job((spec, cfg, m, arg, seed)) for every drawn seed, in seed order."""
+    """job((spec, cfg, m, arg, seed)) for every drawn seed, in seed order.
+
+    |S_n| rows (`_prefix_row`) of a zero-frequency m (`_zero_frequency`)
+    are exact: every phase word sum lies within ||m||_1 units of a multiple
+    of 2^64, so each term has real part exactly 1.0 and every seed's row is
+    the float n itself.  They are returned as n_seeds references to that one read-only
+    row, with no seed drawn and no pool started; n_seeds, master_seed and
+    bit_width are checked as a draw would check them, workers is unused.
+    """
     _require_sliding(cfg, m)
     if n_seeds < 2:
         raise ValueError("n_seeds must be at least 2 for a standard error")
+    if job is _prefix_row and _zero_frequency(spec, m):
+        SeedSampler(master_seed, bit_width)  # the draw's checks, with nothing drawn
+        row = arg + 1.0
+        row.flags.writeable = False
+        return [row] * n_seeds
     seeds = _draw_seeds(spec.seed_interval(), n_seeds, master_seed, bit_width)
     return _pmap(job, [(spec, cfg, m, arg, s) for s in seeds], workers)
 
@@ -269,7 +306,10 @@ def mc_moment(
 
     Complex targets report the total standard error sqrt(Var_total / n)
     with Var_total summing both components, so |estimate| <= a few stderr
-    is the natural consistency check against a zero mean.
+    is the natural consistency check against a zero mean.  The abs_sum
+    targets of a zero-frequency m are exact (n and n^2, stderr 0): no seed
+    is drawn, n_seeds, master_seed and bit_width are only validated and
+    workers is unused.
     """
     m = as_multi_index(m)
     if target.kind == "term_mean":
@@ -277,7 +317,7 @@ def mc_moment(
     elif target.kind == "pair_moment":
         job, arg = _window_row, [(target.k, target.l)]
     else:
-        job, arg = _prefix_row, [target.n]
+        job, arg = _prefix_row, np.array([target.n - 1])
     rows = _seed_rows(job, spec, cfg, m, arg, n_seeds, master_seed, bit_width, workers)
     table = np.vstack(rows)
     if target.kind == "abs_sum_sq_mean":
@@ -322,7 +362,9 @@ def del_criterion(
     percent as growth.  A companion log-log fit of E(|S_n|/n)^2 against n
     lands in the details: exponent near 1 is the orthogonal-family rate,
     near 0 the degenerate one.  Both need two checkpoints, so n_max below
-    the second one (27) raises ValueError.
+    the second one (27) raises ValueError.  For a zero-frequency m,
+    |S_n| = n exactly and no seed is drawn: n_seeds, master_seed and
+    bit_width are only validated and workers is unused.
     """
     m = as_multi_index(m)
     cps = checkpoint_grid(n_max)
@@ -330,7 +372,7 @@ def del_criterion(
         raise ValueError(f"n_max={n_max} gives one checkpoint; del_criterion needs two")
     at_cps = np.array(cps) - 1
     rows = _seed_rows(
-        _prefix_row, spec, cfg, m, range(1, n_max + 1), n_seeds, master_seed, bit_width, workers
+        _prefix_row, spec, cfg, m, np.arange(n_max), n_seeds, master_seed, bit_width, workers
     )
     # E|S_n|^2 for n = 1..n_max, row by row: stacking would copy every row
     est_sq = np.zeros(n_max)
@@ -385,7 +427,9 @@ def wcud_check(
     decreases within noise and ends below max(0.1, 5 * stderr).  Verdict
     "refuted": the final value stays above that threshold by more than
     5 stderr, so the mean is bounded away from zero beyond Monte-Carlo
-    error.  Anything else is "inconclusive".
+    error.  Anything else is "inconclusive".  For a zero-frequency m,
+    |S_N|/N = 1 exactly and no seed is drawn: n_seeds, master_seed and
+    bit_width are only validated and workers is unused.
     """
     m = as_multi_index(m)
     if isinstance(checkpoints, int):
@@ -394,7 +438,8 @@ def wcud_check(
         cps = [int(n) for n in checkpoints]
         if not cps or any(b <= a for a, b in zip(cps, cps[1:])) or cps[0] < 1:
             raise ValueError("checkpoints must be strictly increasing and positive")
-    rows = _seed_rows(_prefix_row, spec, cfg, m, cps, n_seeds, master_seed, bit_width, workers)
+    at = np.array(cps) - 1
+    rows = _seed_rows(_prefix_row, spec, cfg, m, at, n_seeds, master_seed, bit_width, workers)
     mean, stderr = _mean_stderr(np.vstack(rows) / np.array(cps, dtype=float))
     decreasing = all(
         mean[i + 1] <= mean[i] + 3.0 * (stderr[i] + stderr[i + 1])

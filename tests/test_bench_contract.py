@@ -6,7 +6,9 @@ up as a failed `--trace 1` run, so it is checked here.  The golden replay
 runs pool entry 0 of every job kind of every workload, CLI calls included,
 through the benchmark's own job runner and checker, so a change that moves
 a result, a verdict or an exit code beyond the golden tolerance fails here
-rather than in a benchmark run.
+rather than in a benchmark run.  The zero-frequency kinds, whose |S_n| rows
+are exact and take milliseconds, also replay entries 1-7, so more than one
+master seed checks their bytes.
 """
 
 import importlib
@@ -60,6 +62,18 @@ REPLAYED = [(kind, name) for name, wl in jobs.WORKLOADS.items() for kind in wl.k
 @pytest.mark.parametrize("kind, workload", REPLAYED)
 def test_golden_replay(kind, workload, tmp_path):
     job = jobs.make_job(workload, kind, 0)
+    raw = jobs.run(job, equidist, str(tmp_path))
+    errors, _ = harness.Checker(workload).check(job, raw)
+    assert errors == []
+
+
+ZERO_FREQUENCY_KINDS = [("del_mult2", "mc_sweep"), ("wcud_mult2", "mc_sweep"), ("wcud", "cli_batch")]
+
+
+@pytest.mark.parametrize("index", range(1, 8))
+@pytest.mark.parametrize("kind, workload", ZERO_FREQUENCY_KINDS)
+def test_golden_replay_more_master_seeds(kind, workload, index, tmp_path):
+    job = jobs.make_job(workload, kind, index)
     raw = jobs.run(job, equidist, str(tmp_path))
     errors, _ = harness.Checker(workload).check(job, raw)
     assert errors == []

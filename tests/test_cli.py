@@ -297,16 +297,20 @@ class TestReports:
         assert a.read_bytes().replace(b"/a/", b"/b/") == b.read_bytes()
 
     def test_worker_count_invisible_in_payload(self, capsys, tmp_path):
-        kwargs = dict(
-            command="wcud", family="factorial", d=1, n_max=200, n_seeds=4
-        )
-        a, b = tmp_path / "w1.json", tmp_path / "w2.json"
-        run_cfg(capsys, output_path=str(a), workers=1, **kwargs)
-        run_cfg(capsys, output_path=str(b), workers=2, **kwargs)
-        ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
-        assert ra.pop("config")["workers"] == 1
-        assert rb.pop("config")["workers"] == 2
-        assert ra == rb
+        inputs = [
+            dict(family="factorial", d=1),
+            # zero-frequency m: exact rows, no seed drawn at either count
+            dict(family="multiplicative", base=2, d=2, m_components="2,-1"),
+        ]
+        for case, family_kwargs in enumerate(inputs):
+            kwargs = dict(command="wcud", n_max=200, n_seeds=4, **family_kwargs)
+            a, b = tmp_path / f"w1_{case}.json", tmp_path / f"w2_{case}.json"
+            run_cfg(capsys, output_path=str(a), workers=1, **kwargs)
+            run_cfg(capsys, output_path=str(b), workers=2, **kwargs)
+            ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
+            assert ra.pop("config")["workers"] == 1
+            assert rb.pop("config")["workers"] == 2
+            assert ra == rb
 
     def test_covariance_report_blocks(self, capsys, tmp_path):
         path = tmp_path / "cov.json"

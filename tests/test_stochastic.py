@@ -29,7 +29,7 @@ from equidist.stochastic import (
     mc_moment,
     wcud_check,
 )
-from equidist.weyl import MultiIndex
+from equidist.weyl import MultiIndex, degenerate_m_weyl
 
 FACTORIAL = GeneratorSpec.factorial()
 MULT2 = GeneratorSpec.multiplicative(2)
@@ -507,6 +507,106 @@ class TestSeedEngine:
 def test_mc_statistic_rejects_dimension_mismatch():
     with pytest.raises(ValueError, match="d = 2, but the windows have d = 1"):
         wcud_check(FACTORIAL, D1, (1, -1), 200, n_seeds=4)
+
+
+# zero-frequency directions: every window frequency w_k vanishes for any h, o
+ZERO_FREQUENCY = [
+    (GeneratorSpec.multiplicative(2), (2, -1)),
+    (GeneratorSpec.multiplicative(3), (0, 3, -1)),
+    (GeneratorSpec.multiplicative(5), (5, -1, 0)),
+    (GeneratorSpec.weyl(1), (1, -2, 1)),
+    (GeneratorSpec.weyl(1), (0, 1, -2, 1)),
+    (GeneratorSpec.weyl(2), (1, -3, 3, -1)),
+]
+ZERO_IDS = [f"{s.family}{s.base or s.power}-{m}" for s, m in ZERO_FREQUENCY]
+
+
+class _Drew(Exception):
+    pass
+
+
+def _refuse_draws(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise _Drew
+
+    stochastic._seed_set.cache_clear()
+    monkeypatch.setattr(SeedSampler, "sample", refuse)
+    return refuse
+
+
+class TestZeroFrequencyRows:
+    @pytest.mark.parametrize("bits", [8, 64, 256])
+    @pytest.mark.parametrize("h, o", [(1, 0), (2, 1), (3, 0)])
+    @pytest.mark.parametrize("spec, m", ZERO_FREQUENCY, ids=ZERO_IDS)
+    def test_every_seed_row_is_the_certified_row(self, spec, m, h, o, bits):
+        # the lemma behind the shortcut: phase words within ||m||_1 of a turn
+        # give real parts of exactly 1.0, so |S_n| is the float n bit for bit
+        cfg, m = WindowConfig(d=len(m), h=h, o=o), MultiIndex(m)
+        assert stochastic._zero_frequency(spec, m)
+        at = np.array([0, 1, 6, 63, 499])
+        sampler = SeedSampler(17, bits)
+        for _ in range(6):
+            seed = sampler.sample(spec.seed_interval())
+            row = stochastic._prefix_row((spec, cfg, m, at, seed))
+            assert row.dtype == np.float64
+            assert row.tobytes() == (at + 1.0).tobytes()
+
+    @pytest.mark.parametrize("spec, m", ZERO_FREQUENCY, ids=ZERO_IDS)
+    def test_statistics_draw_no_seed(self, spec, m, monkeypatch):
+        # no seed drawn and no pool started
+        monkeypatch.setattr(stochastic, "_pmap", _refuse_draws(monkeypatch))
+        cfg = WindowConfig(d=len(m), h=2, o=1)
+        kw = dict(n_seeds=5, master_seed=3, bit_width=64, workers=2)
+        wcud = wcud_check(spec, cfg, m, 500, **kw)
+        assert wcud.verdicts["wcud"] == "refuted"
+        assert set(wcud.s_over_n) == {1.0} and set(wcud.s_over_n_stderr) == {0.0}
+        diag = del_criterion(spec, cfg, m, 300, **kw)
+        assert diag.verdicts["del_series"] == "divergent-trend"
+        assert set(diag.s_over_n) == {1.0}
+        for kind, value in (("abs_sum_mean", 40.0), ("abs_sum_sq_mean", 1600.0)):
+            est = mc_moment(spec, cfg, m, MomentTarget(kind, n=40), **kw)
+            assert (est.value, est.stderr, est.n_seeds) == (value, 0.0, 5)
+
+    @pytest.mark.parametrize(
+        "spec, m",
+        [
+            *((GeneratorSpec.weyl(p), degenerate_m_weyl(p).components) for p in (1, 2, 3)),
+            (FACTORIAL, (1,)),
+            (GeneratorSpec.self_power(), (1, -1)),
+            (MULT2.permuted(ArithmeticIndices(3, 2)), (2, -1)),
+        ],
+        ids=["weyl1-kernel", "weyl2-kernel", "weyl3-kernel", "factorial", "self_power", "permuted"],
+    )
+    def test_other_inputs_still_draw(self, spec, m, monkeypatch):
+        # degenerate_m_weyl(p) leaves the constant phase (-1)^p p! t, not zero
+        assert not stochastic._zero_frequency(spec, MultiIndex(m))
+        _refuse_draws(monkeypatch)
+        cfg = WindowConfig(d=len(m))
+        with pytest.raises(_Drew):
+            wcud_check(spec, cfg, m, 100, n_seeds=4, master_seed=3, bit_width=64)
+        with pytest.raises(_Drew):
+            del_criterion(spec, cfg, m, 100, n_seeds=4, master_seed=3, bit_width=64)
+        with pytest.raises(_Drew):
+            mc_moment(spec, cfg, m, MomentTarget("abs_sum_mean", n=9), n_seeds=4, master_seed=3)
+
+    @pytest.mark.parametrize(
+        "cfg, kw, match",
+        [
+            (D2, dict(n_seeds=1), "at least 2"),
+            (WindowConfig(d=2, construction="interleaved_a"), {}, "interleaved_a"),
+            (D1, {}, "windows have d = 1"),
+            (D2, dict(bit_width=3), "bit_width"),
+        ],
+        ids=["one-seed", "interleaved", "dimension", "bit-width"],
+    )
+    def test_validation_still_raises(self, cfg, kw, match):
+        m, kw = (2, -1), {"n_seeds": 4, **kw}
+        with pytest.raises(ValueError, match=match):
+            wcud_check(MULT2, cfg, m, 100, **kw)
+        with pytest.raises(ValueError, match=match):
+            del_criterion(MULT2, cfg, m, 100, **kw)
+        with pytest.raises(ValueError, match=match):
+            mc_moment(MULT2, cfg, m, MomentTarget("abs_sum_sq_mean", n=9), **kw)
 
 
 class TestSeedMemo:
