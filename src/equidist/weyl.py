@@ -15,12 +15,16 @@ the wraparound sum of m_j times the words, is thus within ||m||_1 units of the e
 one, in [-sum_{m_j > 0} m_j, sum_{m_j < 0} |m_j|]: an identity M x_k = x_{k+1} gives
 phases within M units of 0, e() with a real part of exactly 1.0, and |W_N| = 1.
 e() is within 2.3e-16 per part (2.2e-16 measured against a 200-bit reference,
-where cos/sin of a rounded float phase were off by up to 1.0e-15).  `criterion_scan`
-multiplies factors e(m_j x_kj), within d 2.3e-16 + (d - 1) 2^-52 per part, and sums
-again from words each m with |W_N| >= 1 - 1e-9, so degenerate series stay bit-exact
-and flagged sets move only at magnitudes within ~1e-15 of the threshold.  Pairwise
-sums between checkpoints and every 2^13 terms, combined by Neumaier accumulation,
-keep |W_N| <= 1 + O(eps).
+where cos/sin of a rounded float phase were off by up to 1.0e-15).  Sums run over
+segments (between checkpoints, at most 2^13 terms) combined by Neumaier accumulation;
+`weyl_sum` sums a segment pairwise.  `criterion_scan` forms terms from factors
+e(m_j x_kj), within d 2.3e-16 + (d - 1) 2^-52 per part.  A one-factor m sums its factor
+row pairwise, bit for bit the word path; any other m's segment sums come from a matrix
+product in the BLAS library's order (it may vary with its build and thread count), each
+part of n terms within 2n 2^-53 per unit of term magnitude, so W_N moves by at most
+2^-39 per part (2.2e-16 measured against per-m pairwise sums on the benchmark's scans).
+Any m with |W_N| >= 1 - 1e-9 is summed again from its words: degenerate series stay
+bit-exact and flagged sets move only within that error of the threshold.
 """
 
 from __future__ import annotations
@@ -138,18 +142,14 @@ class WeylSeries:
         )
 
 
-def _neumaier(values):
-    """Running compensated sums: total + compensation after each value."""
-    total = 0.0
-    comp = 0.0
-    for x in values:
+def _running_sums(parts: np.ndarray) -> np.ndarray:
+    """Running total + compensation down each column of a float (S, C) array, by Neumaier."""
+    total, comp, out = np.zeros(parts.shape[1]), np.zeros(parts.shape[1]), np.empty_like(parts)
+    for i, x in enumerate(parts):
         t = total + x
-        if abs(total) >= abs(x):
-            comp += (total - t) + x
-        else:
-            comp += (x - t) + total
-        total = t
-        yield total + comp
+        comp += np.where(np.abs(total) >= np.abs(x), (total - t) + x, (x - t) + total)
+        out[i], total = t + comp, t
+    return out
 
 
 def _checkpoints_for(n: int, checkpoints) -> tuple[int, ...]:
@@ -248,17 +248,17 @@ def unit_terms(points, m) -> np.ndarray:
     return np.concatenate([np.empty(0, complex)] + [t for _, t in _term_chunks(columns, n)])
 
 
-def _segment_sums(a: int, terms: np.ndarray, cps) -> list[tuple[int, complex]]:
-    """(end, pairwise sum) of each run of a chunk's terms between its edges and checkpoints."""
-    cuts = [a, *(c for c in cps if a < c < a + len(terms)), a + len(terms)]
-    return [(hi, complex(np.sum(terms[lo - a : hi - a]))) for lo, hi in zip(cuts, cuts[1:])]
+def _segments(a: int, n: int, cps) -> list[tuple[int, slice]]:
+    """(end, slice into the chunk) of each run of chunk terms a..a + n - 1 cut at `cps`."""
+    cuts = [a, *(c for c in cps if a < c < a + n), a + n]
+    return [(hi, slice(lo - a, hi - a)) for lo, hi in zip(cuts, cuts[1:])]
 
 
-def _series(m: MultiIndex, cps: tuple, segments: list) -> WeylSeries:
-    """W_N(m) at the checkpoints from its terms' in-order `_segment_sums`, by Neumaier."""
-    re, im = _neumaier(s.real for _, s in segments), _neumaier(s.imag for _, s in segments)
-    values = tuple(complex(x / e, y / e) for (e, _), x, y in zip(segments, re, im) if e in cps)
-    return WeylSeries(m, cps, values)
+def _checkpoint_values(ends: list, sums: np.ndarray, cps: tuple) -> np.ndarray:
+    """W_N at the checkpoints per column of `sums`, the in-order segment sums ending at `ends`."""
+    at = [i for i, e in enumerate(ends) if e in cps]
+    running = _running_sums(np.ascontiguousarray(sums, dtype=complex).view(np.float64))
+    return (running[at] / np.array(ends)[at, None]).view(complex)
 
 
 def weyl_sum(points, m, checkpoints=None) -> WeylSeries:
@@ -269,8 +269,10 @@ def weyl_sum(points, m, checkpoints=None) -> WeylSeries:
         return weyl_sum(points, -m, checkpoints).conjugate()
     columns, n = _phase_columns(points, m)
     cps = _checkpoints_for(n, checkpoints)
-    chunks = _term_chunks(columns, cps[-1])
-    return _series(m, cps, [s for a, terms in chunks for s in _segment_sums(a, terms, cps)])
+    ends, sums = zip(*((e, np.sum(t[s])) for a, t in _term_chunks(columns, cps[-1])
+                       for e, s in _segments(a, len(t), cps)))
+    values = _checkpoint_values(ends, np.array(sums)[:, None], cps)
+    return WeylSeries(m, cps, tuple(values[:, 0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -336,25 +338,43 @@ def criterion_scan(
 ) -> ScanResult:
     """Weyl series on checkpoint_grid(n_max) for each nonzero m, sup-norm <= m_radius.
 
-    The phase words are built once per seed; per chunk, d * m_radius e() calls give the
-    factors whose products are each canonical m's terms, its mirror a conjugate.
+    The phase words are built once per seed.  Per chunk, d * m_radius e() calls fill the
+    factor rows f[j, c] = e(c x_kj) (c < 0 at the wrapped index, a conjugate).  Per
+    segment, one-factor m sum their own row, and one matrix product sums every other m:
+    the leading coordinates' row products (c_0 >= 0) against the last coordinate's rows.
     """
     cps = tuple(checkpoint_grid(n_max))
     table = _scan_table(spec, seed, cfg, n_max)
-    radii = [np.uint64(r) for r in range(1, m_radius + 1)]
-    segments = {m: [] for m in canonical_half(cfg.d, m_radius)}
-    for a in range(0, n_max, _CHUNK):  # factors[j][c] = e(c x_kj), factors[j][-c] its conjugate
-        cols = ([_unit_circle(w[a : a + _CHUNK] * r) for r in radii] for w in table)
-        factors = [[None, *f, *map(np.conj, reversed(f))] for f in cols]
-        for m, segs in segments.items():  # factors are shared: read, never written
-            picked = [f[c] for f, c in zip(factors, m.components) if c]
-            segs += _segment_sums(a, functools.reduce(np.multiply, picked), cps)
-        del factors, picked  # so no two chunks' factors are live at once (peak RSS)
+    d, r, half = cfg.d, m_radius, canonical_half(cfg.d, m_radius)
+    support = [[(j, c) for j, c in enumerate(m.components) if c] for m in half]
+    multi = [i for i, nz in enumerate(support) if len(nz) > 1]
+    single = [i for i, nz in enumerate(support) if len(nz) == 1]
+    at_multi = tuple(np.array([half[i].components for i in multi], dtype=np.intp).reshape(-1, d).T)
+    at_single = tuple(np.array([support[i][0] for i in single]).T)
+    grid = (r + 1,) + (2 * r + 1,) * (d - 1)  # the product's rows (c_0 = 0..r) and columns
+    ends, sums = [], []
+    for a in range(0, n_max, _CHUNK):
+        n = min(_CHUNK, n_max - a)
+        f = np.empty((d, 2 * r + 1, n), dtype=complex)
+        f[:, 0] = 1
+        for j, c in itertools.product(range(d), range(1, r + 1)):
+            f[j, c] = _unit_circle(table[j][a : a + n] * np.uint64(c))
+        np.conj(f[:, r:0:-1], out=f[:, r + 1 :])
+        lead = f[0, : r + 1]
+        for j in range(1, d - 1):  # one block of rows per row of the lead so far
+            lead = (lead[:, None] * f[j]).reshape(-1, n)
+        for e, s in _segments(a, n, cps):
+            ends.append(e)
+            sums.append(row := np.empty(len(half), dtype=complex))
+            row[single] = f[:, : r + 1, s].sum(axis=2)[at_single]
+            if multi:
+                row[multi] = (lead[:, s] @ f[-1, :, s].T).reshape(grid)[at_multi]
+        del f, lead  # so no two chunks' factors are live at once (peak RSS)
+    values = _checkpoint_values(ends, sums, cps)
+    redo = np.abs(values).max(axis=0) >= 1 - 1e-9  # far above product error: a constant phase
     series: dict[MultiIndex, WeylSeries] = {}
-    for m, segs in segments.items():
-        s = _series(m, cps, segs)
-        if max(s.magnitudes) >= 1 - 1e-9:  # far above product error: redo a constant phase
-            s = weyl_sum(table, m, cps)
+    for i, m in enumerate(half):
+        s = weyl_sum(table, m, cps) if redo[i] else WeylSeries(m, cps, tuple(values[:, i].tolist()))
         series[m], series[-m] = s, s.conjugate()
     return ScanResult(series=series, checkpoints=cps)
 

@@ -8,7 +8,9 @@ through the benchmark's own job runner and checker, so a change that moves
 a result, a verdict or an exit code beyond the golden tolerance fails here
 rather than in a benchmark run.  The zero-frequency kinds, whose |S_n| rows
 are exact and take milliseconds, also replay entries 1-7, so more than one
-master seed checks their bytes.
+master seed checks their bytes, and so do the kinds whose scans sum multi-factor
+m by matrix product (the weyl_scan kinds at d >= 2 with a golden worth replaying, and
+the CLI weyl reports), on entries 1-3.
 """
 
 import importlib
@@ -73,6 +75,20 @@ ZERO_FREQUENCY_KINDS = [("del_mult2", "mc_sweep"), ("wcud_mult2", "mc_sweep"), (
 @pytest.mark.parametrize("index", range(1, 8))
 @pytest.mark.parametrize("kind, workload", ZERO_FREQUENCY_KINDS)
 def test_golden_replay_more_master_seeds(kind, workload, index, tmp_path):
+    job = jobs.make_job(workload, kind, index)
+    raw = jobs.run(job, equidist, str(tmp_path))
+    errors, _ = harness.Checker(workload).check(job, raw)
+    assert errors == []
+
+
+MATRIX_PRODUCT_KINDS = [("fact_d3", "weyl_scan"), ("weyl2_d3", "weyl_scan"), ("mult3_d2", "weyl_scan"),
+                        ("interleaved_d2", "weyl_scan"), ("weyl_pass", "cli_batch"),
+                        ("weyl_refuted", "cli_batch")]
+
+
+@pytest.mark.parametrize("index", range(1, 4))
+@pytest.mark.parametrize("kind, workload", MATRIX_PRODUCT_KINDS)
+def test_golden_replay_matrix_product_kinds(kind, workload, index, tmp_path):
     job = jobs.make_job(workload, kind, index)
     raw = jobs.run(job, equidist, str(tmp_path))
     errors, _ = harness.Checker(workload).check(job, raw)

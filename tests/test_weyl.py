@@ -23,6 +23,7 @@ from equidist.weyl import (
     MultiIndex,
     WeylSeries,
     _phase_columns,
+    _running_sums,
     _scan_table,
     _term_chunks,
     _unit_words,
@@ -416,8 +417,17 @@ class TestFactorScan:
              WindowConfig(d=2), 1, _CHUNK),
             (GeneratorSpec.factorial(), WindowConfig(d=3, construction="interleaved_a"), 2,
              _CHUNK + 1),
+            # beyond the benchmark's d <= 3, R <= 3: a longer lead product, a wider factor
+            # matrix, one- and two-term scans, and three interleaved chunks
+            (GeneratorSpec.factorial(), WindowConfig(d=4), 1, _CHUNK + 3),
+            (GeneratorSpec.factorial(), WindowConfig(d=2), 4, _CHUNK + 1),
+            (GeneratorSpec.factorial(), WindowConfig(d=3), 2, 1),
+            (GeneratorSpec.multiplicative(3), WindowConfig(d=2), 3, 2),
+            (GeneratorSpec.factorial(), WindowConfig(d=3, construction="interleaved_a"), 3,
+             2 * _CHUNK + 7),
         ],
-        ids=["factorial", "mult3", "weyl2", "self_power", "koksma", "h2_o1", "permuted", "interleaved"],
+        ids=["factorial", "mult3", "weyl2", "self_power", "koksma", "h2_o1", "permuted", "interleaved",
+             "d4_r1", "d2_r4", "n_max_1", "n_max_2", "interleaved_d3_r3"],
     )
     def test_matches_word_path(self, spec, cfg, radius, n):
         sampler = SeedSampler(31, bit_width=64)
@@ -447,6 +457,40 @@ class TestFactorScan:
             want = weyl_sum(table, key, scan.checkpoints).values
             assert np.array(scan.series[key].values).tobytes() == np.array(want).tobytes()
         assert scan.worst_m in (m, -m)
+
+
+def _neumaier(values):
+    """Scalar reference: running compensated sums, total + compensation after each value."""
+    total = 0.0
+    comp = 0.0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            comp += (total - t) + x
+        else:
+            comp += (x - t) + total
+        total = t
+        yield total + comp
+
+
+class TestRunningSums:
+    def test_matches_scalar_neumaier_bit_for_bit(self):
+        rng = random.Random(5)
+        columns = [
+            [1e16, 1.0, -1e16],  # cancellation: the compensation carries the 1
+            [1.0, 1e100, 1.0, -1e100],  # |x| > |total| on the second row
+            [-0.0, 0.0, -0.0, -0.0],  # signed zeros
+            [0.0, -0.0, 3.5, -3.5],
+            [rng.uniform(-1, 1) * 10.0 ** rng.randint(-20, 20) for _ in range(40)],
+            [rng.choice([1e16, -1e16, 1.0, -1.0, 1e-16]) for _ in range(40)],
+        ]
+        length = max(map(len, columns))
+        parts = np.array([c + [0.0] * (length - len(c)) for c in columns]).T
+        got = _running_sums(parts)
+        for j in range(parts.shape[1]):
+            want = np.array(list(_neumaier(parts[:, j].tolist())))
+            assert got[:, j].tobytes() == want.tobytes()
+        assert got[2, 0] == 1.0
 
 
 class TestWeylSeries:
@@ -494,6 +538,20 @@ class TestCriterionScan:
         assert scan.worst_m.components in ((2, -1), (-2, 1))
         flagged = {m.components for m in scan.flagged(0.9)}
         assert flagged == {(2, -1), (-2, 1)}
+
+    def test_series_order_is_canonical_half_then_mirror(self):
+        seed = SeedSampler(3, bit_width=64).sample()
+        scan = criterion_scan(GeneratorSpec.factorial(), seed, WindowConfig(d=3), 2, 300)
+        want = [key for m in canonical_half(3, 2) for key in (m, -m)]
+        assert list(scan.series) == want
+
+    def test_worst_m_tie_goes_to_the_first_in_order(self):
+        # (2, -1) and (-2, 1) both end at exactly 1.0; the canonical one comes first
+        seed = SeedSampler(7).sample()
+        scan = criterion_scan(GeneratorSpec.multiplicative(2), seed, WindowConfig(d=2), 2, 2000)
+        tied = [m for m, s in scan.series.items() if s.final_magnitude == 1.0]
+        assert tied == [MultiIndex((2, -1)), MultiIndex((-2, 1))]
+        assert scan.worst_m == MultiIndex((2, -1))
 
     def test_interleaved_construction(self):
         seeds = [SeedSampler(11, bit_width=64).sample() for _ in range(2)]
