@@ -20,10 +20,10 @@ engine alike, are built from the ratios in integers (`weyl._unit_words`);
 floats come only from `unit_float`, one correct rounding clamped below 1,
 so a mantissa of 2^64 - 1 is 1 - 2^-53, not 1.0.
 
-Multidimensional points come from two constructions over scalar streams:
-interleaved blocks over d independent seeds, or sliding/shifted windows
-over a single stream (shift h = 1 overlaps, h = d tiles, any h >= 1 with
-an offset o is accepted).
+Multidimensional points come from two constructions over scalar streams,
+interleaved blocks over d independent seeds or windows over one stream
+(any shift h >= 1 and offset o), at the stream positions of their one
+definition, `WindowConfig.positions`; `_read_windows` reads them.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -178,11 +179,25 @@ class WindowConfig:
         if self.construction == "interleaved_a" and (self.h, self.o) != (1, 0):
             raise ValueError("interleaved_a has no shift or offset: needs h = 1 and o = 0")
 
+    def positions(self, ks) -> list:
+        """The one definition of the layout: entry j lists the 1-based stream position
+        coordinate j + 1 of each window k in `ks` reads, (k - 1) s + o + j + 1 with s = h
+        (sliding_bc) or s = d (interleaved_a, a generator index of seed j + 1).  `ks` is
+        a count, windows 1..count, giving ranges, or window indices k >= 1."""
+        step = self.d if self.construction == "interleaved_a" else self.h
+        if isinstance(ks, numbers.Integral):
+            if ks < 0:
+                raise ValueError("count must be nonnegative")
+            return [range(self.o + j, self.o + j + ks * step, step) for j in range(1, self.d + 1)]
+        if min(ks := list(ks), default=1) < 1:
+            raise ValueError("window indices start at 1")
+        return [[(k - 1) * step + self.o + j for k in ks] for j in range(1, self.d + 1)]
+
     def stream_length(self, count: int) -> int:
-        """Scalar samples needed for `count` windows."""
-        if count == 0:
-            return 0
-        return self.o + (count - 1) * self.h + self.d
+        """The last position the first `count` windows read, 0 for none; the last
+        coordinate's is the largest, for interleaved_a that of the last seed."""
+        last = self.positions(count)[-1]
+        return last[-1] if last else 0
 
 
 @dataclass(frozen=True)
@@ -396,26 +411,51 @@ def beta_stream(spec: GeneratorSpec, seed: RationalSeed, count: int) -> list[Uni
 # -- window constructions ------------------------------------------------
 
 
-def interleaved_vectors(spec: GeneratorSpec, seeds, count: int) -> list[tuple[UnitSample, ...]]:
-    """d-dimensional points from d seeds of one family, interleaved blocks.
-
-    Coordinate j of point k is x_{(k-1)d+j}(t_j) mod 1: each coordinate
-    runs the same family at its own seed while the index sweeps through
-    all the integers block by block.  d is the seed count.
-    """
-    seeds = list(seeds)
-    d = len(seeds)
-    if d < 1:
-        raise ValueError("need at least one seed")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+def _read_windows(read, spec: GeneratorSpec | None, seed, cfg: WindowConfig, ks) -> list:
+    """Coordinate j of the windows `ks` (`WindowConfig.positions`) as read(spec, seed,
+    positions) returns it, an array in the order of `positions`, from the one seed of
+    sliding_bc or from seed j of interleaved_a (see `_read_seed`)."""
+    positions = cfg.positions(ks)
+    if cfg.construction == "sliding_bc":
+        if isinstance(seed, (list, tuple)):
+            raise ValueError("sliding_bc takes a single seed")
+        return _read_seed(read, spec, seed, positions)
+    seeds = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+    if len(seeds) != cfg.d:
+        raise ValueError(f"interleaved_a needs {cfg.d} seeds, got {len(seeds)}")
     if spec.permutation is not None:
         raise ValueError("interleaving a permuted stream is not defined")
-    columns = [
-        beta_stream(spec.permuted(range(j, d * count + 1, d)), seed, count)
-        for j, seed in enumerate(seeds, start=1)
-    ]
-    return list(zip(*columns))
+    return [_read_seed(read, spec, s, [c])[0] for s, c in zip(seeds, positions)]
+
+
+def _read_seed(read, spec: GeneratorSpec | None, seed, columns: list) -> list:
+    """The coordinates one seed serves.  Ranges (a window count) read once the sparsest
+    ascending progression holding them all and come back as strided views of it; lists
+    (window indices) pass their positions window by window, repeats included, and
+    `_samples_at` reads each distinct one once, ascending."""
+    if not isinstance(columns[0], range):
+        values = read(spec, seed, [p for window in zip(*columns) for p in window])
+        return list(values.reshape(-1, len(columns)).T)
+    lo, hi = columns[0].start, max((c[-1] for c in columns if c), default=0)
+    g = math.gcd(columns[0].step, *(c.start - lo for c in columns))
+    span = read(spec, seed, range(lo, hi + 1, g))
+    return [span[(c.start - lo) // g :: c.step // g][: len(c)] for c in columns]
+
+
+def interleaved_vectors(spec: GeneratorSpec, seeds, count: int) -> list[tuple[UnitSample, ...]]:
+    """d-dimensional points from d seeds of one family, interleaved blocks:
+    each coordinate runs the family at its own seed while the index sweeps
+    through all the integers block by block.  d is the seed count.
+    """
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
+
+    def read(spec, seed, at):  # beta_stream at the positions of an unpermuted stream
+        return np.array(beta_stream(spec.permuted(at), seed, len(at)), dtype=object)
+
+    cfg = WindowConfig(d=len(seeds), construction="interleaved_a")
+    return list(zip(*_read_windows(read, spec, seeds, cfg, count)))
 
 
 # -- float consumption ---------------------------------------------------
@@ -446,20 +486,19 @@ def stream_floats(stream) -> np.ndarray:
 
 
 def windows_array(values: np.ndarray, cfg: WindowConfig, count: int | None = None) -> np.ndarray:
-    """Float window matrix (count, d) over a scalar float stream."""
+    """Float window matrix (count, d) over a float stream, by default all it holds."""
     if cfg.construction != "sliding_bc":
         raise ValueError("windows_array applies to the sliding_bc construction")
     values = np.asarray(values, dtype=float)
-    room = values.size - cfg.o - cfg.d
-    available = room // cfg.h + 1 if room >= 0 else 0
+    available = max(0, (values.size - cfg.stream_length(1)) // cfg.h + 1)
     if count is None:
         count = available
     elif count > available:
         raise StreamLengthError(
             f"stream of {values.size} supports {available} windows, {count} requested"
         )
-    view = np.lib.stride_tricks.sliding_window_view(values, cfg.d)
-    return view[cfg.o : cfg.o + (count - 1) * cfg.h + 1 : cfg.h] if count else np.empty((0, cfg.d))
+    read = lambda _spec, _seed, at: values[at.start - 1 : at.stop - 1 : at.step]  # noqa: E731
+    return np.column_stack(_read_windows(read, None, None, cfg, count))
 
 
 # -- stream files --------------------------------------------------------

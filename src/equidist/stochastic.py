@@ -13,7 +13,8 @@ Every seed-averaged statistic runs on one engine (`_seed_rows`).  It
 rejects n_seeds < 2, the interleaved_a construction (which takes d seeds
 per point) and an m of another dimension than the windows, draws all seeds
 from the master rng up front, maps one row job per seed (its terms summed
-from phase words of the exact samples, no float crossing), and returns the
+from phase words of the exact samples at the positions that the layout's one
+definition, `WindowConfig.positions`, gives; no float crossing), and returns the
 rows in seed order.  Each estimate is then the column mean of those rows
 with standard error std(ddof=1) / sqrt(n_seeds) (`_mean_stderr`), so
 results are bit-identical for any worker count.  One input needs no seed:
@@ -39,13 +40,12 @@ from .generators import (
     WindowConfig,
     _descriptor_at,
     _indices_at,
-    _ratios_at,
+    _read_windows,
 )
 from .weyl import (
     MultiIndex,
     PhaseTable,
-    _scan_table,
-    _unit_words,
+    _words_at,
     as_multi_index,
     checkpoint_grid,
     unit_terms,
@@ -96,11 +96,14 @@ def _window_sums(spec: GeneratorSpec, cfg: WindowConfig, m: MultiIndex, ks) -> d
     The frequency of the pair (k, l) is w_k - w_l.  Each coefficient is
     computed once, however many of the windows read its stream position.
     """
+    def read(spec, _seed, at):  # Python ints, so no product overflows
+        indices = _indices_at(spec, at)
+        coefficients = {a: _coefficient(spec, a) for a in set(indices)}
+        return np.array([coefficients[a] for a in indices], dtype=object)
+
     ks = list(ks)
-    rows = _window_positions(cfg, ks)
-    positions = sorted({p for row in rows for p in row})
-    coeffs = dict(zip(positions, (_coefficient(spec, a) for a in _indices_at(spec, positions))))
-    return {k: sum(c * coeffs[p] for c, p in zip(m.components, row)) for k, row in zip(ks, rows)}
+    windows = zip(*_read_windows(read, spec, None, cfg, ks))
+    return {k: sum(c * a for c, a in zip(m.components, w)) for k, w in zip(ks, windows)}
 
 
 @dataclass(frozen=True)
@@ -147,23 +150,11 @@ def c_of_m_scan(spec: GeneratorSpec, m, max_lag: int = 48, probe: int | None = N
 # -- the seed-averaging engine -------------------------------------------------
 
 
-def _window_positions(cfg: WindowConfig, ks) -> list[list[int]]:
-    """Stream positions of each window k: (k-1)h+o+1 .. (k-1)h+o+d."""
-    return [[(k - 1) * cfg.h + cfg.o + j for j in range(1, cfg.d + 1)] for k in ks]
-
-
-def _window_terms_at(spec, seed, cfg: WindowConfig, m: MultiIndex, ks) -> np.ndarray:
-    """Y_k = e(m . window_k) for the requested window indices."""
-    nums, q = _ratios_at(spec, seed, [p for row in _window_positions(cfg, ks) for p in row])
-    words = _unit_words(nums, [q] * len(nums)).reshape(-1, cfg.d)
-    return unit_terms(PhaseTable(words.T), m)
-
-
 def _window_row(job) -> np.ndarray:
     """One seed's Y_k for each (k,) column and Y_k conj(Y_l) for each (k, l)."""
     spec, cfg, m, columns, seed = job
     ks = sorted({k for column in columns for k in column})
-    y = dict(zip(ks, _window_terms_at(spec, seed, cfg, m, ks)))
+    y = dict(zip(ks, unit_terms(PhaseTable(_read_windows(_words_at, spec, seed, cfg, ks)), m)))
     return np.array(
         [y[c[0]] * np.conj(y[c[1]]) if len(c) == 2 else y[c[0]] for c in columns],
         dtype=complex,
@@ -173,17 +164,18 @@ def _window_row(job) -> np.ndarray:
 def _prefix_row(job) -> np.ndarray:
     """One seed's |S_n| at the increasing n whose indices n - 1 the int array `at` holds."""
     spec, cfg, m, at, seed = job
-    prefix = np.cumsum(unit_terms(_scan_table(spec, seed, cfg, int(at[-1]) + 1), m))
+    table = PhaseTable(_read_windows(_words_at, spec, seed, cfg, int(at[-1]) + 1))
+    prefix = np.cumsum(unit_terms(table, m))
     return np.abs(prefix[at])
 
 
 def _zero_frequency(spec: GeneratorSpec, m: MultiIndex) -> bool:
     """Whether the family's closed form proves w_k = 0 for every window k, any h and o.
 
-    Window k reads c_{s+1} .. c_{s+d}, s = (k-1)h + o.  Multiplicative:
-    w_k = M^(s+1) sum_j m_j M^(j-1).  weyl_power p: w_k = sum_i C(p, i)
-    s^(p-i) sum_j m_j j^i.  Other families, and any permuted stream, are
-    not certified.
+    Window k reads c_{s+1} .. c_{s+d}, s + 1 its first position
+    (`WindowConfig.positions`).  Multiplicative: w_k = M^(s+1) sum_j m_j M^(j-1).
+    weyl_power p: w_k = sum_i C(p, i) s^(p-i) sum_j m_j j^i.  Other families,
+    and any permuted stream, are not certified.
     """
     if spec.permutation is not None:
         return False

@@ -43,8 +43,8 @@ from .generators import (
     UnitSample,
     WindowConfig,
     _ratios_at,
+    _read_windows,
     _scalars_at,
-    windows_array,
 )
 
 CHECKPOINT_RATIO = 1.5
@@ -100,17 +100,21 @@ def as_multi_index(m) -> MultiIndex:
     return m if isinstance(m, MultiIndex) else MultiIndex(tuple(m))
 
 
-def multi_indices(d: int, radius: int) -> list[MultiIndex]:
-    """All nonzero m with sup-norm at most radius, lexicographic order."""
+def _lattice(d: int, radius: int):
     if d < 1 or radius < 1:
         raise ValueError("d and radius must be positive")
-    lattice = itertools.product(range(-radius, radius + 1), repeat=d)
-    return [MultiIndex(comps) for comps in lattice if any(comps)]
+    return itertools.product(range(-radius, radius + 1), repeat=d)
+
+
+def multi_indices(d: int, radius: int) -> list[MultiIndex]:
+    """All nonzero m with sup-norm at most radius, lexicographic order."""
+    return [MultiIndex(comps) for comps in _lattice(d, radius) if any(comps)]
 
 
 def canonical_half(d: int, radius: int) -> list[MultiIndex]:
-    """One representative per {m, -m} pair: first nonzero component positive."""
-    return [m for m in multi_indices(d, radius) if m.canonical]
+    """One m per {m, -m} pair, the first nonzero component positive: m above zero."""
+    zero = (0,) * d
+    return [MultiIndex(comps) for comps in _lattice(d, radius) if comps > zero]
 
 
 @dataclass(frozen=True)
@@ -297,36 +301,15 @@ class ScanResult:
         )
 
 
-def _stream_reads(spec: GeneratorSpec, seed, cfg: WindowConfig, count: int) -> list:
-    """(seed, positions) read for `count` windows: interleaved column j at j, j + d, ..."""
-    if cfg.construction == "interleaved_a":
-        seeds = list(seed) if isinstance(seed, (list, tuple)) else [seed]
-        if len(seeds) != cfg.d:
-            raise ValueError(f"interleaved_a needs {cfg.d} seeds, got {len(seeds)}")
-        if spec.permutation is not None:
-            raise ValueError("interleaving a permuted stream is not defined")
-        return [(s, range(j, cfg.d * count + 1, cfg.d)) for j, s in enumerate(seeds, start=1)]
-    if isinstance(seed, (list, tuple)):
-        raise ValueError("sliding_bc takes a single seed")
-    return [(seed, range(1, cfg.stream_length(count) + 1))]
-
-
 def scan_points(spec: GeneratorSpec, seed, cfg: WindowConfig, count: int) -> np.ndarray:
     """Float window matrix (count, d); the samples cross into floats in `_scalars_at`."""
-    columns = [_scalars_at(spec, s, at) for s, at in _stream_reads(spec, seed, cfg, count)]
-    if cfg.construction == "interleaved_a":
-        return np.column_stack(columns)
-    return windows_array(columns[0], cfg, count)
+    return np.column_stack(_read_windows(_scalars_at, spec, seed, cfg, count))
 
 
-def _scan_table(spec: GeneratorSpec, seed, cfg: WindowConfig, count: int) -> PhaseTable:
-    """The windows of `scan_points` as the phase words of the exact samples."""
-    reads = (_ratios_at(spec, s, at) for s, at in _stream_reads(spec, seed, cfg, count))
-    streams = [_unit_words(nums, [q] * len(nums)) for nums, q in reads]
-    if cfg.construction == "interleaved_a":
-        return PhaseTable(streams)
-    stop = cfg.o + (count - 1) * cfg.h + 1
-    return PhaseTable(streams[0][cfg.o + j : stop + j : cfg.h] for j in range(cfg.d))
+def _words_at(spec: GeneratorSpec, seed, positions) -> np.ndarray:
+    """The phase words of the exact samples at 1-based stream positions."""
+    nums, q = _ratios_at(spec, seed, positions)
+    return _unit_words(nums, [q] * len(nums))
 
 
 def criterion_scan(
@@ -344,7 +327,7 @@ def criterion_scan(
     the leading coordinates' row products (c_0 >= 0) against the last coordinate's rows.
     """
     cps = tuple(checkpoint_grid(n_max))
-    table = _scan_table(spec, seed, cfg, n_max)
+    table = PhaseTable(_read_windows(_words_at, spec, seed, cfg, n_max))
     d, r, half = cfg.d, m_radius, canonical_half(cfg.d, m_radius)
     support = [[(j, c) for j, c in enumerate(m.components) if c] for m in half]
     multi = [i for i, nz in enumerate(support) if len(nz) > 1]

@@ -193,8 +193,30 @@ class TestWindows:
             windows_array([1, 2, 3], WindowConfig(d=2, h=2), count=2)
 
     def test_stream_length_accounting(self):
+        # the last position any window reads
         cfg = WindowConfig(d=3, h=2, o=1)
         assert cfg.stream_length(4) == 1 + 3 * 2 + 3
+        assert cfg.stream_length(0) == 0
+        # interleaved: seed 3 of window 4 reads generator index (4 - 1) 3 + 3
+        assert WindowConfig(d=3, construction="interleaved_a").stream_length(4) == 12
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            windows_array(np.arange(10) / 10, WindowConfig(d=1), -1)
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            WindowConfig(d=3).stream_length(-1)
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            interleaved_vectors(GeneratorSpec.weyl(1), [THIRD, FIFTH], -1)
+        assert windows_array(np.arange(10) / 10, WindowConfig(d=2), 0).shape == (0, 2)
+
+    def test_positions_are_the_layout(self):
+        cfg = WindowConfig(d=2, h=3, o=1)
+        assert [list(c) for c in cfg.positions(3)] == [[2, 5, 8], [3, 6, 9]]
+        assert cfg.positions([3, 1, 3]) == [[8, 2, 8], [9, 3, 9]]
+        inter = WindowConfig(d=2, construction="interleaved_a")
+        assert [list(c) for c in inter.positions(3)] == [[1, 3, 5], [2, 4, 6]]
+        with pytest.raises(ValueError, match="start at 1"):
+            cfg.positions([2, 0])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -236,6 +258,57 @@ class TestInterleaved:
         spec = GeneratorSpec.weyl(1).permuted([2, 1])
         with pytest.raises(ValueError):
             interleaved_vectors(spec, [THIRD, FIFTH], 2)
+
+
+READER_SPECS = [
+    GeneratorSpec.factorial(),
+    GeneratorSpec.multiplicative(3),
+    GeneratorSpec.koksma(),
+    GeneratorSpec.linear([3, 1, 4, 1, 5, 9, 2, 6] * 20).permuted(range(160, 0, -1)),
+]
+READER_SEEDS = [
+    [SeedSampler(41, bit_width=64).spawn(j).sample(spec.seed_interval()) for j in range(3)]
+    for spec in READER_SPECS
+]
+
+
+class TestWindowReader:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.integers(0, len(READER_SPECS) - 1),
+        d=st.integers(1, 3),
+        h=st.integers(1, 4),
+        o=st.integers(0, 3),
+        interleaved=st.booleans(),
+        ks=st.lists(st.integers(1, 30), max_size=8),
+        m=st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+    )
+    def test_sparse_rows_are_dense_rows(self, family, d, h, o, interleaved, ks, m):
+        from equidist.stochastic import _coefficient, _window_sums
+        from equidist.weyl import MultiIndex, _words_at
+
+        spec, seeds = READER_SPECS[family], READER_SEEDS[family]
+        if interleaved and spec.permutation is not None:
+            spec = GeneratorSpec.factorial()
+        if interleaved:
+            cfg, seed = WindowConfig(d=d, construction="interleaved_a"), seeds[:d]
+            layout = [[(k - 1) * d + j for k in ks] for j in range(1, d + 1)]
+        else:
+            cfg, seed = WindowConfig(d=d, h=h, o=o), seeds[0]
+            layout = [[(k - 1) * h + o + j for k in ks] for j in range(1, d + 1)]
+        assert cfg.positions(ks) == layout
+        at = np.array(ks, dtype=int) - 1
+        for read in (_words_at, generators._scalars_at):
+            dense = generators._read_windows(read, spec, seed, cfg, max(ks, default=0))
+            sparse = generators._read_windows(read, spec, seed, cfg, ks)
+            for a, b in zip(sparse, dense):
+                assert a.tobytes() == b[at].tobytes()
+        if spec.exact and not interleaved and any(m[:d]):
+            # w_k = sum_j m_j c_a, a the generator index at the position coordinate j reads
+            w = _window_sums(spec, cfg, MultiIndex(m[:d]), ks)
+            index = lambda p: generators._indices_at(spec, [p])[0]  # noqa: E731
+            for i, k in enumerate(ks):
+                assert w[k] == sum(c * _coefficient(spec, index(col[i])) for c, col in zip(m, layout))
 
 
 class TestWindowingIsNotSimpleEquidistribution:

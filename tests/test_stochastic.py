@@ -29,7 +29,7 @@ from equidist.stochastic import (
     mc_moment,
     wcud_check,
 )
-from equidist.weyl import MultiIndex, degenerate_m_weyl
+from equidist.weyl import MultiIndex, PhaseTable, _words_at, degenerate_m_weyl, unit_terms
 
 FACTORIAL = GeneratorSpec.factorial()
 MULT2 = GeneratorSpec.multiplicative(2)
@@ -676,15 +676,17 @@ class TestTermPaths:
         ids=["multiplicative", "permuted", "koksma"],
     )
     def test_sparse_windows_match_prefix_bit_for_bit(self, spec, h):
-        from equidist.stochastic import _window_terms_at
-        from equidist.weyl import MultiIndex, _scan_table, unit_terms
-
+        # _window_row reads only the windows it names; _prefix_row reads the whole range
         seed = SeedSampler(6, bit_width=64).sample(spec.seed_interval())
         cfg = WindowConfig(d=3, h=h, o=1)
         m = MultiIndex((3, -2, 3))
-        prefix = unit_terms(_scan_table(spec, seed, cfg, 40), m)
+        table = PhaseTable(generators._read_windows(_words_at, spec, seed, cfg, 40))
+        prefix = unit_terms(table, m)
+        assert stochastic._prefix_row((spec, cfg, m, np.arange(40), seed)).tobytes() == (
+            np.abs(np.cumsum(prefix)).tobytes()
+        )
         ks = [40, 7, 1, 7, 23]
-        got = _window_terms_at(spec, seed, cfg, m, ks)
+        got = stochastic._window_row((spec, cfg, m, [(k,) for k in ks], seed))
         assert got.tolist() == [prefix[k - 1] for k in ks]
 
 

@@ -14,6 +14,7 @@ from equidist.generators import (
     GeneratorSpec,
     UnitSample,
     WindowConfig,
+    _read_windows,
     beta_stream,
     interleaved_vectors,
     unit_float,
@@ -21,12 +22,13 @@ from equidist.generators import (
 from equidist.weyl import (
     _CHUNK,
     MultiIndex,
+    PhaseTable,
     WeylSeries,
     _phase_columns,
     _running_sums,
-    _scan_table,
     _term_chunks,
     _unit_words,
+    _words_at,
     canonical_half,
     checkpoint_grid,
     criterion_scan,
@@ -85,6 +87,11 @@ class TestMultiIndex:
         half = [m for m in canonical_half(2, 2)]
         assert len(full) == 24
         assert {m.components for m in half} | {(-m).components for m in half} == full
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_canonical_half_is_the_canonical_lattice_in_order(self, d, radius):
+        assert canonical_half(d, radius) == [m for m in multi_indices(d, radius) if m.canonical]
 
 
 def _fraction_phases(points, m) -> np.ndarray:
@@ -394,6 +401,11 @@ class TestPhaseKernel:
             assert max(abs(a - b) for a, b in zip(scan.series[m].values, want)) <= W_BOUND
 
 
+def _word_table(spec, seed, cfg, ks) -> PhaseTable:
+    """The phase words `criterion_scan` reads: the window reader over `_words_at`."""
+    return PhaseTable(_read_windows(_words_at, spec, seed, cfg, ks))
+
+
 def _factor_bound(d: int) -> float:
     """Per part |W_N| gap between `criterion_scan` and the word path: its terms are within
     d E_BOUND + (d - 1) 2^-52 of e(m . x_k), the word path's within E_BOUND, and one
@@ -436,7 +448,7 @@ class TestFactorScan:
         else:
             seed = sampler.sample(spec.seed_interval())
         scan = criterion_scan(spec, seed, cfg, radius, n)
-        table = _scan_table(spec, seed, cfg, n)
+        table = _word_table(spec, seed, cfg, n)
         for m in multi_indices(cfg.d, radius):
             got = np.array(scan.series[m].values)
             want = np.array(weyl_sum(table, m, scan.checkpoints).values)
@@ -451,7 +463,7 @@ class TestFactorScan:
         spec, cfg = GeneratorSpec.weyl(p), WindowConfig(d=p + 1)
         seed = SeedSampler(37).sample()
         scan = criterion_scan(spec, seed, cfg, 3, 2000)
-        table = _scan_table(spec, seed, cfg, 2000)
+        table = _word_table(spec, seed, cfg, 2000)
         m = degenerate_m_weyl(p)
         for key in (m, -m):
             want = weyl_sum(table, key, scan.checkpoints).values
@@ -564,6 +576,15 @@ class TestCriterionScan:
         cfg = WindowConfig(d=2, construction="interleaved_a")
         with pytest.raises(ValueError):
             scan_points(GeneratorSpec.weyl(1), [seed], cfg, 10)
+
+    @pytest.mark.parametrize("construction", ["sliding_bc", "interleaved_a"])
+    def test_scan_points_rejects_a_negative_count(self, construction):
+        cfg = WindowConfig(d=2, construction=construction)
+        seed = SeedSampler(11, bit_width=64).sample()
+        seeds = [seed, seed] if construction == "interleaved_a" else seed
+        assert scan_points(GeneratorSpec.weyl(1), seeds, cfg, 0).shape == (0, 2)
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            scan_points(GeneratorSpec.weyl(1), seeds, cfg, -1)
 
 
 class TestDegenerateCertificates:
