@@ -5,7 +5,8 @@ Exit codes are the scripting contract: 0 means the requested check passed
 reached, and 1 means the run failed before producing a verdict.  Reports
 embed the resolved config, the tool version, and the checkpoint grid, and
 identical config plus master rng seed produces a byte-identical JSON
-report for any worker count.
+report.  Every run is serial in one process; `--workers`, like `--H`, is
+recorded in the report config and never read.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .generators import (
 from .stochastic import (
     GammaStream,
     _draw_seeds,
-    _pmap,
     c_of_m_scan,
     default_bit_source,
     gamma_index,
@@ -119,7 +119,7 @@ class RunConfig:
         if self.o < 0:
             raise ValueError(f"o must be nonnegative, got {self.o}")
         if self.workers < 0:
-            raise ValueError("workers must be 0 (auto) or positive")
+            raise ValueError(f"workers must be nonnegative, got {self.workers}")
         if not 0 < self.flag_threshold <= 1:  # |W_N| <= 1: a larger one (or nan) never flags
             raise ValueError(f"flag_threshold must lie in (0, 1], got {self.flag_threshold}")
         if Fraction(self.koksma_hi) <= 1:
@@ -180,12 +180,6 @@ class RunConfig:
                 f"m has {len(components)} components but d={self.d}; pass --m with d entries"
             )
         return MultiIndex(components)
-
-    def resolved_workers(self) -> int:
-        if self.workers > 0:
-            return self.workers
-        probe = getattr(os, "process_cpu_count", os.cpu_count)()
-        return probe or 1
 
 
 # -- report plumbing ---------------------------------------------------------
@@ -296,8 +290,7 @@ def cmd_weyl(cfg: RunConfig) -> str | None:
     return verdict
 
 
-def _star_job(job):
-    spec, cps, seed = job
+def _star_row(spec, cps, seed) -> list:
     values = _scalars_at(spec, seed, range(1, cps[-1] + 1))
     return [star_discrepancy_1d(values[:n]).value for n in cps]
 
@@ -308,8 +301,7 @@ def cmd_discrepancy(cfg: RunConfig) -> str | None:
         raise ValueError("the discrepancy trend command is 1-D; use the library for d > 1")
     cps = checkpoint_grid(cfg.n_max)
     seeds = _draw(cfg, spec, cfg.n_seeds)
-    table = _pmap(_star_job, [(spec, cps, s) for s in seeds], cfg.resolved_workers())
-    mat = np.array(table)  # (n_seeds, n_cps)
+    mat = np.array([_star_row(spec, cps, s) for s in seeds])  # (n_seeds, n_cps)
     med = np.median(mat, axis=0)
     q10 = np.quantile(mat, 0.1, axis=0)
     q90 = np.quantile(mat, 0.9, axis=0)
@@ -345,7 +337,6 @@ def cmd_covariance(cfg: RunConfig) -> str | None:
         n_seeds=cfg.n_seeds,
         master_seed=cfg.master_rng_seed,
         bit_width=cfg.seed_bits,
-        workers=cfg.resolved_workers(),
     )
     payload["far_pairs"] = asdict(check)
     payload["verdict"] = payload["far_pairs"].pop("verdict")
@@ -367,7 +358,6 @@ def cmd_wcud(cfg: RunConfig) -> str | None:
         n_seeds=cfg.n_seeds,
         master_seed=cfg.master_rng_seed,
         bit_width=cfg.seed_bits,
-        workers=cfg.resolved_workers(),
     )
     verdict = diag.verdicts["wcud"]
     payload = {
@@ -477,7 +467,7 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--master-seed", dest="master_rng_seed", type=int)
     p.add_argument("--count", dest="count", type=int, help="uniforms to emit")
     p.add_argument("--bits", dest="bits", type=int, help="bits per uniform")
-    p.add_argument("--workers", dest="workers", type=int, help="0 = all cores")
+    p.add_argument("--workers", dest="workers", type=int, help="recorded in the report config, never read")
     p.add_argument("--flag-threshold", dest="flag_threshold", type=float)
     p.add_argument("--output", dest="output_path", help="report path")
     p.add_argument("--format", dest="output_format", choices=("json", "csv"))

@@ -12,23 +12,22 @@ reproducible stream of sampled seeds and reported with a standard error.
 Every seed-averaged statistic runs on one engine (`_seed_rows`).  It
 rejects n_seeds < 2, the interleaved_a construction (which takes d seeds
 per point) and an m of another dimension than the windows, draws all seeds
-from the master rng up front, maps one row job per seed (its terms summed
-from phase words of the exact samples at the positions that the layout's one
-definition, `WindowConfig.positions`, gives; no float crossing), and returns the
-rows in seed order.  Each estimate is then the column mean of those rows
-with standard error std(ddof=1) / sqrt(n_seeds) (`_mean_stderr`), so
-results are bit-identical for any worker count.  One input needs no seed:
-when the family's closed form proves every window frequency w_k zero
-(`_zero_frequency`), every Y_k is 1 for every seed, so the |S_n| rows are
-exactly n and the engine returns them without drawing.
+from the master rng up front, computes one row per seed in this process (its
+terms summed from phase words of the exact samples at the positions that the
+layout's one definition, `WindowConfig.positions`, gives; no float crossing),
+and returns the rows in seed order.  Each estimate is then the column mean of
+those rows with standard error std(ddof=1) / sqrt(n_seeds) (`_mean_stderr`).
+One input needs no seed: when the family's closed form proves every window
+frequency w_k zero (`_zero_frequency`), every Y_k is 1 for every seed, so the
+|S_n| rows are exactly n and the engine returns them without drawing.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -150,9 +149,8 @@ def c_of_m_scan(spec: GeneratorSpec, m, max_lag: int = 48, probe: int | None = N
 # -- the seed-averaging engine -------------------------------------------------
 
 
-def _window_row(job) -> np.ndarray:
+def _window_row(spec, cfg, m, columns, seed) -> np.ndarray:
     """One seed's Y_k for each (k,) column and Y_k conj(Y_l) for each (k, l)."""
-    spec, cfg, m, columns, seed = job
     ks = sorted({k for column in columns for k in column})
     y = dict(zip(ks, unit_terms(PhaseTable(_read_windows(_words_at, spec, seed, cfg, ks)), m)))
     return np.array(
@@ -161,9 +159,8 @@ def _window_row(job) -> np.ndarray:
     )
 
 
-def _prefix_row(job) -> np.ndarray:
+def _prefix_row(spec, cfg, m, at, seed) -> np.ndarray:
     """One seed's |S_n| at the increasing n whose indices n - 1 the int array `at` holds."""
-    spec, cfg, m, at, seed = job
     table = PhaseTable(_read_windows(_words_at, spec, seed, cfg, int(at[-1]) + 1))
     prefix = np.cumsum(unit_terms(table, m))
     return np.abs(prefix[at])
@@ -215,34 +212,26 @@ def _seed_set(interval, n_seeds: int, master_seed: int, bit_width: int) -> tuple
     return tuple(sampler.sample(interval) for _ in range(n_seeds))
 
 
-def _pmap(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        chunk = max(1, len(items) // (4 * workers))
-        return list(ex.map(fn, items, chunksize=chunk))
-
-
-def _seed_rows(job, spec, cfg, m, arg, n_seeds, master_seed, bit_width, workers) -> list:
-    """job((spec, cfg, m, arg, seed)) for every drawn seed, in seed order.
+def _seed_rows(row, spec, cfg, m, arg, n_seeds, master_seed, bit_width) -> list:
+    """row(spec, cfg, m, arg, seed) for every drawn seed, in seed order.
 
     |S_n| rows (`_prefix_row`) of a zero-frequency m (`_zero_frequency`)
     are exact: every phase word sum lies within ||m||_1 units of a multiple
     of 2^64, so each term has real part exactly 1.0 and every seed's row is
     the float n itself.  They are returned as n_seeds references to that one read-only
-    row, with no seed drawn and no pool started; n_seeds, master_seed and
-    bit_width are checked as a draw would check them, workers is unused.
+    row, with no seed drawn; n_seeds, master_seed and bit_width are checked
+    as a draw would check them.
     """
     _require_sliding(cfg, m)
     if n_seeds < 2:
         raise ValueError("n_seeds must be at least 2 for a standard error")
-    if job is _prefix_row and _zero_frequency(spec, m):
+    if row is _prefix_row and _zero_frequency(spec, m):
         SeedSampler(master_seed, bit_width)  # the draw's checks, with nothing drawn
-        row = arg + 1.0
-        row.flags.writeable = False
-        return [row] * n_seeds
+        exact = arg + 1.0
+        exact.flags.writeable = False
+        return [exact] * n_seeds
     seeds = _draw_seeds(spec.seed_interval(), n_seeds, master_seed, bit_width)
-    return _pmap(job, [(spec, cfg, m, arg, s) for s in seeds], workers)
+    return [row(spec, cfg, m, arg, s) for s in seeds]
 
 
 def _mean_stderr(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -292,7 +281,6 @@ def mc_moment(
     n_seeds: int = DEFAULT_MC_SEEDS,
     master_seed: int = 0,
     bit_width: int = DEFAULT_MC_BITS,
-    workers: int = 1,
 ) -> MomentEstimate:
     """Monte-Carlo estimate of a seed-averaged moment with its stderr.
 
@@ -300,17 +288,16 @@ def mc_moment(
     with Var_total summing both components, so |estimate| <= a few stderr
     is the natural consistency check against a zero mean.  The abs_sum
     targets of a zero-frequency m are exact (n and n^2, stderr 0): no seed
-    is drawn, n_seeds, master_seed and bit_width are only validated and
-    workers is unused.
+    is drawn, and n_seeds, master_seed and bit_width are only validated.
     """
     m = as_multi_index(m)
     if target.kind == "term_mean":
-        job, arg = _window_row, [(target.k,)]
+        row, arg = _window_row, [(target.k,)]
     elif target.kind == "pair_moment":
-        job, arg = _window_row, [(target.k, target.l)]
+        row, arg = _window_row, [(target.k, target.l)]
     else:
-        job, arg = _prefix_row, np.array([target.n - 1])
-    rows = _seed_rows(job, spec, cfg, m, arg, n_seeds, master_seed, bit_width, workers)
+        row, arg = _prefix_row, np.array([target.n - 1])
+    rows = _seed_rows(row, spec, cfg, m, arg, n_seeds, master_seed, bit_width)
     table = np.vstack(rows)
     if target.kind == "abs_sum_sq_mean":
         table = table**2
@@ -341,7 +328,6 @@ def del_criterion(
     n_seeds: int = DEFAULT_MC_SEEDS,
     master_seed: int = 0,
     bit_width: int = DEFAULT_MC_BITS,
-    workers: int = 1,
 ) -> SllnDiagnostics:
     """Partial sums of (1/n) E(|S_n|/n)^2 along the checkpoint grid.
 
@@ -356,16 +342,14 @@ def del_criterion(
     near 0 the degenerate one.  Both need two checkpoints, so n_max below
     the second one (27) raises ValueError.  For a zero-frequency m,
     |S_n| = n exactly and no seed is drawn: n_seeds, master_seed and
-    bit_width are only validated and workers is unused.
+    bit_width are only validated.
     """
     m = as_multi_index(m)
     cps = checkpoint_grid(n_max)
     if len(cps) < 2:
         raise ValueError(f"n_max={n_max} gives one checkpoint; del_criterion needs two")
     at_cps = np.array(cps) - 1
-    rows = _seed_rows(
-        _prefix_row, spec, cfg, m, np.arange(n_max), n_seeds, master_seed, bit_width, workers
-    )
+    rows = _seed_rows(_prefix_row, spec, cfg, m, np.arange(n_max), n_seeds, master_seed, bit_width)
     # E|S_n|^2 for n = 1..n_max, row by row: stacking would copy every row
     est_sq = np.zeros(n_max)
     for row in rows:
@@ -410,7 +394,6 @@ def wcud_check(
     n_seeds: int = DEFAULT_MC_SEEDS,
     master_seed: int = 0,
     bit_width: int = DEFAULT_MC_BITS,
-    workers: int = 1,
 ) -> SllnDiagnostics:
     """Trend test of E|S_N|/N, the averaged Weyl criterion.
 
@@ -421,17 +404,17 @@ def wcud_check(
     5 stderr, so the mean is bounded away from zero beyond Monte-Carlo
     error.  Anything else is "inconclusive".  For a zero-frequency m,
     |S_N|/N = 1 exactly and no seed is drawn: n_seeds, master_seed and
-    bit_width are only validated and workers is unused.
+    bit_width are only validated.
     """
     m = as_multi_index(m)
-    if isinstance(checkpoints, int):
+    if isinstance(checkpoints, numbers.Integral):
         cps = checkpoint_grid(checkpoints)
     else:
         cps = [int(n) for n in checkpoints]
         if not cps or any(b <= a for a, b in zip(cps, cps[1:])) or cps[0] < 1:
             raise ValueError("checkpoints must be strictly increasing and positive")
     at = np.array(cps) - 1
-    rows = _seed_rows(_prefix_row, spec, cfg, m, at, n_seeds, master_seed, bit_width, workers)
+    rows = _seed_rows(_prefix_row, spec, cfg, m, at, n_seeds, master_seed, bit_width)
     mean, stderr = _mean_stderr(np.vstack(rows) / np.array(cps, dtype=float))
     decreasing = all(
         mean[i + 1] <= mean[i] + 3.0 * (stderr[i] + stderr[i + 1])
@@ -481,7 +464,6 @@ def lemma2_decay_fit(
     master_seed: int = 0,
     pair_sum: int | None = None,
     bit_width: int = DEFAULT_MC_BITS,
-    workers: int = 1,
 ) -> DecayFit:
     """Estimate the power-law exponent of E(Y_k conj Y_l + conj) in |k - l|.
 
@@ -501,7 +483,7 @@ def lemma2_decay_fit(
         pairs.append((k, k - g))
     if any(l < 1 for _, l in pairs):
         raise ValueError(f"pair_sum {pair_sum} too small for the largest lag")
-    rows = _seed_rows(_window_row, spec, cfg, m, pairs, n_seeds, master_seed, bit_width, workers)
+    rows = _seed_rows(_window_row, spec, cfg, m, pairs, n_seeds, master_seed, bit_width)
     # symmetrized: Y_k conj(Y_l) + its conjugate
     mean, stderr = _mean_stderr(2.0 * np.vstack(rows).real)
     usable = [i for i in range(len(lags)) if abs(mean[i]) > 3.0 * stderr[i]]
@@ -549,7 +531,6 @@ def lemma3_check(
     master_seed: int = 0,
     n_pairs: int = 64,
     bit_width: int = DEFAULT_MC_BITS,
-    workers: int = 1,
 ) -> FarPairCheck:
     """Audit pair moments with min(l, k - l) >= sqrt(n).
 
@@ -562,6 +543,8 @@ def lemma3_check(
     """
     m = as_multi_index(m)
     _require_sliding(cfg, m)
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be positive, got {n_pairs}")
     gap = math.isqrt(n - 1) + 1
     if 2 * gap > n:
         raise ValueError(f"n={n} too small for far pairs (needs n >= {2 * gap})")
@@ -577,9 +560,7 @@ def lemma3_check(
         mean = np.array([2.0 if w[k] == w[l] else 0.0 for k, l in pairs])
         stderr = np.zeros_like(mean)
     else:
-        rows = _seed_rows(
-            _window_row, spec, cfg, m, pairs, n_seeds, master_seed, bit_width, workers
-        )
+        rows = _seed_rows(_window_row, spec, cfg, m, pairs, n_seeds, master_seed, bit_width)
         mean, stderr = _mean_stderr(2.0 * np.vstack(rows).real)
     abs_mean = np.abs(mean)
     worst = int(np.argmax(abs_mean))

@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,7 +55,7 @@ MAGNITUDE_SLACK = 1e-12
 
 def checkpoint_grid(n_max: int) -> list[int]:
     """Grid {ceil(CHECKPOINT_RATIO^j) : j >= CHECKPOINT_FIRST_EXPONENT}, closed at n_max."""
-    if n_max < 1:
+    if (n_max := operator.index(n_max)) < 1:  # a numpy integer too, and the grid holds ints
         raise ValueError("n_max must be at least 1")
     grid, j = {n_max}, CHECKPOINT_FIRST_EXPONENT
     while (n := math.ceil(CHECKPOINT_RATIO**j)) <= n_max:
@@ -141,9 +142,11 @@ class WeylSeries:
         return abs(self.values[-1])
 
     def conjugate(self) -> "WeylSeries":
-        return WeylSeries(
-            -self.m, self.checkpoints, tuple(v.conjugate() for v in self.values)
-        )
+        """W_N(-m), built without the check: |conj v| equals |v| exactly."""
+        out = object.__new__(WeylSeries)
+        values = tuple(v.conjugate() for v in self.values)
+        out.__dict__.update(m=-self.m, checkpoints=self.checkpoints, values=values)
+        return out
 
 
 def _running_sums(parts: np.ndarray) -> np.ndarray:
@@ -358,7 +361,8 @@ def criterion_scan(
     series: dict[MultiIndex, WeylSeries] = {}
     for i, m in enumerate(half):
         s = weyl_sum(table, m, cps) if redo[i] else WeylSeries(m, cps, tuple(values[:, i].tolist()))
-        series[m], series[-m] = s, s.conjugate()
+        mirror = s.conjugate()
+        series[m], series[mirror.m] = s, mirror
     return ScanResult(series=series, checkpoints=cps)
 
 

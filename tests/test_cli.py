@@ -1,6 +1,7 @@
 """Command-line contract: config round trips, exit codes, report files."""
 
 import json
+import multiprocessing
 import subprocess
 import sys
 from dataclasses import fields
@@ -311,6 +312,32 @@ class TestReports:
             assert ra.pop("config")["workers"] == 1
             assert rb.pop("config")["workers"] == 2
             assert ra == rb
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(command="discrepancy", family="factorial", n_max=300, n_seeds=4),
+            dict(command="covariance", family="koksma", n_max=256, n_seeds=4, seed_bits=64),
+            dict(command="wcud", family="factorial", n_max=200, n_seeds=4),
+        ],
+        ids=["discrepancy", "covariance", "wcud"],
+    )
+    def test_workers_start_no_process(self, capsys, tmp_path, monkeypatch, kwargs):
+        # every command runs serially in this process; --workers is only recorded
+        def refuse(self):
+            raise RuntimeError("a process was started")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        codes, reports = [], []
+        for workers in (1, 2):
+            path = tmp_path / f"w{workers}.json"
+            codes.append(run_cfg(capsys, output_path=str(path), workers=workers, **kwargs)[0])
+            report = json.loads(path.read_text())
+            assert report["config"].pop("workers") == workers
+            report["config"].pop("output_path")
+            reports.append(report)
+        assert codes[0] == codes[1] != 1
+        assert reports[0] == reports[1]
 
     def test_covariance_report_blocks(self, capsys, tmp_path):
         path = tmp_path / "cov.json"

@@ -60,6 +60,11 @@ class TestCheckpointGrid:
         grid = checkpoint_grid(100)
         assert grid == [26, 39, 58, 87, 100]
 
+    def test_numpy_integer_gives_python_ints(self):
+        grid = checkpoint_grid(np.int64(300))
+        assert grid == checkpoint_grid(300)
+        assert all(type(n) is int for n in grid)
+
 
 class TestMultiIndex:
     def test_zero_rejected(self):
@@ -531,6 +536,26 @@ class TestCriterionScan:
         for m, series in scan.series.items():
             mirror = scan.series[-m]
             assert mirror.values == tuple(np.conj(v) for v in series.values)
+
+    def test_one_check_and_one_negation_per_canonical_m(self, monkeypatch):
+        # a mirror series is the conjugate, |conj v| = |v| exactly, so it is not re-checked;
+        # weyl(2) at d = 3 has the constant-phase m = (1, -2, 1), summed again from its words
+        calls = {"check": 0, "neg": 0}
+
+        def counted(name, fn):
+            def wrapper(self, *args):
+                calls[name] += 1
+                return fn(self, *args)
+            return wrapper
+
+        monkeypatch.setattr(WeylSeries, "__post_init__", counted("check", WeylSeries.__post_init__))
+        monkeypatch.setattr(MultiIndex, "__neg__", counted("neg", MultiIndex.__neg__))
+        seed = SeedSampler(3, bit_width=64).sample()
+        scan = criterion_scan(GeneratorSpec.weyl(2), seed, WindowConfig(d=3), 3, 300)
+        half = len(canonical_half(3, 3))
+        assert half == 171 and len(scan.series) == 2 * half
+        assert calls == {"check": half, "neg": half}
+        assert abs(scan.series[MultiIndex((-1, 2, -1))].final_magnitude - 1.0) < 1e-12
 
     def test_covers_full_lattice(self):
         seed = SeedSampler(3, bit_width=64).sample()
