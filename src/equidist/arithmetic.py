@@ -59,13 +59,15 @@ for _c in range(5, 2000, 2):
         _SMALL_PRIMES.append(_c)
 _SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 _SMALL_PRIME_PRODUCT = math.prod(_SMALL_PRIMES)
+# The primes up to 47, whose product fits one 64-bit word: n % it is cheap to test first.
+_WORD_PRODUCT = math.prod(_SMALL_PRIMES[:15])
 
 # Proven-deterministic Miller-Rabin witness set below 2^64.
 _MR_WITNESSES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_ERROR_BITS = 96
 _MR_ROUNDS_LARGE = _MR_ERROR_BITS // 2  # worst case 4^-48 = 2^-96
 
-# Primes proved above 2^64, oldest first; composites are never stored.
+# Proved primes, oldest first; composites are never stored.
 _PROVEN_CAP = 256
 _proven: dict[int, None] = {}
 
@@ -106,25 +108,27 @@ def is_probable_prime(n: int, *, rounds: int = _MR_ROUNDS_LARGE) -> bool:
     adversarial or not.  `SeedSampler` passes the fewer rounds of
     `_dlp_rounds`, valid only for uniform random odd candidates, where the
     average-case bound keeps the error of a drawn prime below 2^-96.
-    Prime verdicts above 2^64 are remembered (at most `_PROVEN_CAP`), and a
-    remembered n is prime without another round.
+    Every prime verdict above the trial-division range is remembered (at
+    most `_PROVEN_CAP`), and a remembered n is prime without another round.
     """
     if n in _proven:
         return True
     if n <= _SMALL_PRIMES[-1]:
         return n in _SMALL_PRIME_SET
-    if math.gcd(n, _SMALL_PRIME_PRODUCT) != 1:
+    if math.gcd(n % _WORD_PRODUCT, _WORD_PRODUCT) != 1 or math.gcd(n, _SMALL_PRIME_PRODUCT) != 1:
         return False
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
         r += 1
     if n < 1 << 64:
-        return all(_miller_rabin_round(n, d, r, a) for a in _MR_WITNESSES_64 if a < n - 1)
-    # Bases drawn lazily from an rng keyed on n itself, so the verdict is a
-    # pure function of n and the first t bases are the same for any rounds.
-    local = random.Random(n)
-    if not all(_miller_rabin_round(n, d, r, local.randrange(2, n - 1)) for _ in range(rounds)):
+        witnesses = (a for a in _MR_WITNESSES_64 if a < n - 1)
+    else:
+        # Bases drawn lazily from an rng keyed on n itself, so the verdict is a
+        # pure function of n and the first t bases are the same for any rounds.
+        local = random.Random(n)
+        witnesses = (local.randrange(2, n - 1) for _ in range(rounds))
+    if not all(_miller_rabin_round(n, d, r, a) for a in witnesses):
         return False
     if len(_proven) >= _PROVEN_CAP:
         _proven.pop(next(iter(_proven)))
@@ -203,8 +207,8 @@ class SeedSampler:
     """Reproducible source of random rational seeds.
 
     Identical (rng seed, bit_width) yields the identical seed sequence.
-    `spawn(i)` derives an independent child stream for worker i without
-    consuming state from the parent.
+    `spawn(i)` derives an independent child stream i without consuming
+    state from the parent.
     """
 
     def __init__(self, rng_seed: int, bit_width: int = DEFAULT_SEED_BITS):

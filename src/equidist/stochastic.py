@@ -12,11 +12,12 @@ reproducible stream of sampled seeds and reported with a standard error.
 Every seed-averaged statistic runs on one engine (`_seed_rows`).  It
 rejects n_seeds < 2, the interleaved_a construction (which takes d seeds
 per point) and an m of another dimension than the windows, draws all seeds
-from the master rng up front, computes one row per seed in this process (its
-terms summed from phase words of the exact samples at the positions that the
-layout's one definition, `WindowConfig.positions`, gives; no float crossing),
-and returns the rows in seed order.  Each estimate is then the column mean of
-those rows with standard error std(ddof=1) / sqrt(n_seeds) (`_mean_stderr`).
+from the master rng up front and hands the seed list to a row builder, which
+returns one row per seed, in seed order: terms summed from phase words of the
+exact samples at the positions of `WindowConfig.positions` (no float crossing),
+in one kernel pass over all seeds for a few windows (`_window_rows`) and one
+pass per seed for |S_n| (`_prefix_rows`).  Each estimate is then the column
+mean of the rows with standard error std(ddof=1) / sqrt(n_seeds) (`_mean_stderr`).
 One input needs no seed: when the family's closed form proves every window
 frequency w_k zero (`_zero_frequency`), every Y_k is 1 for every seed, so the
 |S_n| rows are exactly n and the engine returns them without drawing.
@@ -149,21 +150,31 @@ def c_of_m_scan(spec: GeneratorSpec, m, max_lag: int = 48, probe: int | None = N
 # -- the seed-averaging engine -------------------------------------------------
 
 
-def _window_row(spec, cfg, m, columns, seed) -> np.ndarray:
-    """One seed's Y_k for each (k,) column and Y_k conj(Y_l) for each (k, l)."""
+def _window_rows(spec, cfg, m, columns, seeds) -> np.ndarray:
+    """The (seed, column) table of Y_k for each (k,) column and Y_k conj(Y_l) for each (k, l).
+
+    Each seed's windows are read on their own, then one kernel pass runs over all seeds'
+    words.  A pair takes the bits of the scalar a * conj(b) from real parts: numpy's
+    vectorised complex multiply may fuse them (FMA) and round differently.
+    """
     ks = sorted({k for column in columns for k in column})
-    y = dict(zip(ks, unit_terms(PhaseTable(_read_windows(_words_at, spec, seed, cfg, ks)), m)))
-    return np.array(
-        [y[c[0]] * np.conj(y[c[1]]) if len(c) == 2 else y[c[0]] for c in columns],
-        dtype=complex,
-    )
+    words = zip(*(_read_windows(_words_at, spec, seed, cfg, ks) for seed in seeds))
+    y = unit_terms(PhaseTable(map(np.concatenate, words)), m).reshape(len(seeds), len(ks))
+    at = {k: i for i, k in enumerate(ks)}
+    a, b = (y.take([at[c[i]] for c in columns], axis=1) for i in (0, -1))  # C order, as stacked
+    pair = np.empty_like(a)
+    pair.real, pair.imag = a.real * b.real + a.imag * b.imag, a.imag * b.real - a.real * b.imag
+    return np.where([len(c) == 2 for c in columns], pair, a)
 
 
-def _prefix_row(spec, cfg, m, at, seed) -> np.ndarray:
-    """One seed's |S_n| at the increasing n whose indices n - 1 the int array `at` holds."""
-    table = PhaseTable(_read_windows(_words_at, spec, seed, cfg, int(at[-1]) + 1))
-    prefix = np.cumsum(unit_terms(table, m))
-    return np.abs(prefix[at])
+def _prefix_rows(spec, cfg, m, at, seeds) -> list:
+    """Each seed's |S_n| at the increasing n whose indices n - 1 the int array `at` holds,
+    one kernel pass per seed: a pass already spans n terms."""
+    rows = []
+    for seed in seeds:
+        table = PhaseTable(_read_windows(_words_at, spec, seed, cfg, int(at[-1]) + 1))
+        rows.append(np.abs(np.cumsum(unit_terms(table, m))[at]))
+    return rows
 
 
 def _zero_frequency(spec: GeneratorSpec, m: MultiIndex) -> bool:
@@ -212,10 +223,10 @@ def _seed_set(interval, n_seeds: int, master_seed: int, bit_width: int) -> tuple
     return tuple(sampler.sample(interval) for _ in range(n_seeds))
 
 
-def _seed_rows(row, spec, cfg, m, arg, n_seeds, master_seed, bit_width) -> list:
-    """row(spec, cfg, m, arg, seed) for every drawn seed, in seed order.
+def _seed_rows(rows, spec, cfg, m, arg, n_seeds, master_seed, bit_width):
+    """rows(spec, cfg, m, arg, seeds) for the drawn seeds: one row per seed, in seed order.
 
-    |S_n| rows (`_prefix_row`) of a zero-frequency m (`_zero_frequency`)
+    |S_n| rows (`_prefix_rows`) of a zero-frequency m (`_zero_frequency`)
     are exact: every phase word sum lies within ||m||_1 units of a multiple
     of 2^64, so each term has real part exactly 1.0 and every seed's row is
     the float n itself.  They are returned as n_seeds references to that one read-only
@@ -225,13 +236,13 @@ def _seed_rows(row, spec, cfg, m, arg, n_seeds, master_seed, bit_width) -> list:
     _require_sliding(cfg, m)
     if n_seeds < 2:
         raise ValueError("n_seeds must be at least 2 for a standard error")
-    if row is _prefix_row and _zero_frequency(spec, m):
+    if rows is _prefix_rows and _zero_frequency(spec, m):
         SeedSampler(master_seed, bit_width)  # the draw's checks, with nothing drawn
         exact = arg + 1.0
         exact.flags.writeable = False
         return [exact] * n_seeds
     seeds = _draw_seeds(spec.seed_interval(), n_seeds, master_seed, bit_width)
-    return [row(spec, cfg, m, arg, s) for s in seeds]
+    return rows(spec, cfg, m, arg, seeds)
 
 
 def _mean_stderr(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -261,8 +272,10 @@ class MomentTarget:
             raise ValueError(f"target kind must be one of {tuple(needs)}")
         for name in "kln":
             v = getattr(self, name)
-            if (v is not None or name in needs[self.kind]) and (type(v) is not int or v < 1):
-                raise ValueError(f"{self.kind} takes {name} as a positive int, got {v!r}")
+            if v is not None or name in needs[self.kind]:
+                if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < 1:
+                    raise ValueError(f"{self.kind} takes {name} as a positive int, got {v!r}")
+                object.__setattr__(self, name, int(v))
 
 
 @dataclass(frozen=True)
@@ -292,13 +305,12 @@ def mc_moment(
     """
     m = as_multi_index(m)
     if target.kind == "term_mean":
-        row, arg = _window_row, [(target.k,)]
+        rows, arg = _window_rows, [(target.k,)]
     elif target.kind == "pair_moment":
-        row, arg = _window_row, [(target.k, target.l)]
+        rows, arg = _window_rows, [(target.k, target.l)]
     else:
-        row, arg = _prefix_row, np.array([target.n - 1])
-    rows = _seed_rows(row, spec, cfg, m, arg, n_seeds, master_seed, bit_width)
-    table = np.vstack(rows)
+        rows, arg = _prefix_rows, np.array([target.n - 1])
+    table = np.vstack(_seed_rows(rows, spec, cfg, m, arg, n_seeds, master_seed, bit_width))
     if target.kind == "abs_sum_sq_mean":
         table = table**2
     mean, stderr = _mean_stderr(table)
@@ -349,7 +361,7 @@ def del_criterion(
     if len(cps) < 2:
         raise ValueError(f"n_max={n_max} gives one checkpoint; del_criterion needs two")
     at_cps = np.array(cps) - 1
-    rows = _seed_rows(_prefix_row, spec, cfg, m, np.arange(n_max), n_seeds, master_seed, bit_width)
+    rows = _seed_rows(_prefix_rows, spec, cfg, m, np.arange(n_max), n_seeds, master_seed, bit_width)
     # E|S_n|^2 for n = 1..n_max, row by row: stacking would copy every row
     est_sq = np.zeros(n_max)
     for row in rows:
@@ -414,7 +426,7 @@ def wcud_check(
         if not cps or any(b <= a for a, b in zip(cps, cps[1:])) or cps[0] < 1:
             raise ValueError("checkpoints must be strictly increasing and positive")
     at = np.array(cps) - 1
-    rows = _seed_rows(_prefix_row, spec, cfg, m, at, n_seeds, master_seed, bit_width)
+    rows = _seed_rows(_prefix_rows, spec, cfg, m, at, n_seeds, master_seed, bit_width)
     mean, stderr = _mean_stderr(np.vstack(rows) / np.array(cps, dtype=float))
     decreasing = all(
         mean[i + 1] <= mean[i] + 3.0 * (stderr[i] + stderr[i + 1])
@@ -483,9 +495,9 @@ def lemma2_decay_fit(
         pairs.append((k, k - g))
     if any(l < 1 for _, l in pairs):
         raise ValueError(f"pair_sum {pair_sum} too small for the largest lag")
-    rows = _seed_rows(_window_row, spec, cfg, m, pairs, n_seeds, master_seed, bit_width)
+    rows = _seed_rows(_window_rows, spec, cfg, m, pairs, n_seeds, master_seed, bit_width)
     # symmetrized: Y_k conj(Y_l) + its conjugate
-    mean, stderr = _mean_stderr(2.0 * np.vstack(rows).real)
+    mean, stderr = _mean_stderr(2.0 * rows.real)
     usable = [i for i in range(len(lags)) if abs(mean[i]) > 3.0 * stderr[i]]
     result = dict(
         lags=tuple(lags),
@@ -560,8 +572,8 @@ def lemma3_check(
         mean = np.array([2.0 if w[k] == w[l] else 0.0 for k, l in pairs])
         stderr = np.zeros_like(mean)
     else:
-        rows = _seed_rows(_window_row, spec, cfg, m, pairs, n_seeds, master_seed, bit_width)
-        mean, stderr = _mean_stderr(2.0 * np.vstack(rows).real)
+        rows = _seed_rows(_window_rows, spec, cfg, m, pairs, n_seeds, master_seed, bit_width)
+        mean, stderr = _mean_stderr(2.0 * rows.real)
     abs_mean = np.abs(mean)
     worst = int(np.argmax(abs_mean))
     empirical_max = float(abs_mean[worst])
@@ -628,22 +640,6 @@ class SeedBitSource:
         nbytes = (count + 7) // 8
         packed = np.frombuffer(digits.to_bytes(nbytes, "big"), dtype=np.uint8)
         return np.unpackbits(packed)[8 * nbytes - count :].tolist()
-
-
-class BytesBitSource:
-    """Most-significant-bit-first view of a byte string."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-
-    def bits(self, count: int) -> list[int]:
-        if count > 8 * len(self.data):
-            raise ValueError(
-                f"source holds {8 * len(self.data)} bits, {count} requested"
-            )
-        return [
-            (self.data[i >> 3] >> (7 - (i & 7))) & 1 for i in range(count)
-        ]
 
 
 def default_bit_source(master_seed: int, bit_width: int = DEFAULT_MC_BITS) -> SeedBitSource:

@@ -125,6 +125,14 @@ class TestRoundCount:
         assert RationalSeed(seed.numerator, seed.denominator) == seed
         assert count_rounds == []
 
+    def test_drawn_64_bit_prime_is_not_proved_again(self, count_rounds):
+        # below 2^64 the deterministic test runs its 12 witnesses once per drawn prime
+        seed = SeedSampler(7, bit_width=64).sample()
+        assert count_rounds.count(seed.denominator) == 12
+        del count_rounds[:]
+        assert RationalSeed(seed.numerator, seed.denominator) == seed
+        assert count_rounds == []
+
     def test_composite_of_two_large_primes_rejected(self):
         sampler = SeedSampler(9, bit_width=128)
         q1, q2 = sampler._random_prime(), sampler._random_prime()
@@ -146,6 +154,16 @@ class TestRoundCount:
         sampler = SeedSampler(3, bit_width=96)
         drawn = [sampler.sample().denominator for _ in range(10)]
         assert list(arithmetic._proven) == drawn[-4:]
+
+    def test_word_prefilter_tests_a_subset_of_the_trial_primes(self):
+        word = arithmetic._WORD_PRODUCT
+        assert word < 2**64 and arithmetic._SMALL_PRIME_PRODUCT % word == 0
+        assert word == math.prod(p for p in range(2, 48) if all(p % q for q in range(2, p)))
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.getrandbits(64) | 1
+            assert is_probable_prime(n) == _reference_miller_rabin(n)
+            assert not is_probable_prime(n * rng.choice((3, 47, 53, 1999)))
 
     def test_trial_division_matches_sieve(self):
         limit = 20_000

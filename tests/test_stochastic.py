@@ -9,11 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equidist import generators, stochastic
+from equidist import generators, stochastic, weyl
 from equidist.arithmetic import RationalSeed, SeedSampler
 from equidist.generators import ArithmeticIndices, GeneratorSpec, WindowConfig
 from equidist.stochastic import (
-    BytesBitSource,
     _window_sums,
     GammaStream,
     MomentTarget,
@@ -229,6 +228,19 @@ class TestMomentTarget:
     def test_indices_are_positive_ints(self, kind, fields):
         with pytest.raises(ValueError):
             MomentTarget(kind, **fields)
+
+    @pytest.mark.parametrize("v", [np.int64(5), np.uint8(5), np.int32(5)])
+    def test_numpy_integers_are_stored_as_int(self, v):
+        target = MomentTarget("abs_sum_mean", n=v)
+        assert target.n == 5 and type(target.n) is int
+        pair = MomentTarget("pair_moment", k=v, l=np.int64(2))
+        assert (pair.k, pair.l) == (5, 2) and type(pair.k) is type(pair.l) is int
+        assert MomentTarget("term_mean", k=v) == MomentTarget("term_mean", k=5)
+
+    @pytest.mark.parametrize("v", [5.0, True, np.True_, np.float64(5.0), np.int64(0)])
+    def test_non_integers_and_bools_still_rejected(self, v):
+        with pytest.raises(ValueError, match="positive int"):
+            MomentTarget("abs_sum_mean", n=v)
 
 
 class TestMcMoment:
@@ -541,7 +553,7 @@ class TestZeroFrequencyRows:
         sampler = SeedSampler(17, bits)
         for _ in range(6):
             seed = sampler.sample(spec.seed_interval())
-            row = stochastic._prefix_row(spec, cfg, m, at, seed)
+            (row,) = stochastic._prefix_rows(spec, cfg, m, at, [seed])
             assert row.dtype == np.float64
             assert row.tobytes() == (at + 1.0).tobytes()
 
@@ -669,18 +681,75 @@ class TestTermPaths:
         ids=["multiplicative", "permuted", "koksma"],
     )
     def test_sparse_windows_match_prefix_bit_for_bit(self, spec, h):
-        # _window_row reads only the windows it names; _prefix_row reads the whole range
+        # _window_rows reads only the windows it names; _prefix_rows reads the whole range
         seed = SeedSampler(6, bit_width=64).sample(spec.seed_interval())
         cfg = WindowConfig(d=3, h=h, o=1)
         m = MultiIndex((3, -2, 3))
         table = PhaseTable(generators._read_windows(_words_at, spec, seed, cfg, 40))
         prefix = unit_terms(table, m)
-        assert stochastic._prefix_row(spec, cfg, m, np.arange(40), seed).tobytes() == (
-            np.abs(np.cumsum(prefix)).tobytes()
-        )
+        (row,) = stochastic._prefix_rows(spec, cfg, m, np.arange(40), [seed])
+        assert row.tobytes() == np.abs(np.cumsum(prefix)).tobytes()
         ks = [40, 7, 1, 7, 23]
-        got = stochastic._window_row(spec, cfg, m, [(k,) for k in ks], seed)
-        assert got.tolist() == [prefix[k - 1] for k in ks]
+        got = stochastic._window_rows(spec, cfg, m, [(k,) for k in ks], [seed])
+        assert got.shape == (1, len(ks))
+        assert got[0].tolist() == [prefix[k - 1] for k in ks]
+
+
+def _one_seed_row(spec, cfg, m, columns, seed) -> np.ndarray:
+    # the engine's row before it batched seeds: one kernel pass for one seed, and each
+    # pair the numpy scalar product Y_k * conj(Y_l)
+    ks = sorted({k for column in columns for k in column})
+    table = PhaseTable(generators._read_windows(_words_at, spec, seed, cfg, ks))
+    y = dict(zip(ks, unit_terms(table, m)))
+    return np.array(
+        [y[c[0]] * np.conj(y[c[1]]) if len(c) == 2 else y[c[0]] for c in columns],
+        dtype=complex,
+    )
+
+
+class TestBatchedWindowRows:
+    COLUMNS = [(17, 5), (9,), (5, 17), (9,), (30, 2), (5, 5), (1,), (17, 5)]
+
+    @pytest.mark.parametrize(
+        "spec, m, bits",
+        [
+            (FACTORIAL, (1,), 256),
+            (FACTORIAL, (2, -1), 256),
+            (FACTORIAL, (1, -3, 2), 64),
+            (KOKSMA, (1,), 64),
+            (KOKSMA, (3, -2), 64),
+        ],
+        ids=["factorial-d1", "factorial-d2", "factorial-d3", "koksma-d1", "koksma-d2"],
+    )
+    @pytest.mark.parametrize("h, o", [(1, 0), (2, 1)])
+    def test_table_is_the_one_seed_rows_byte_for_byte(self, spec, m, bits, h, o):
+        # term and pair columns, repeated windows and a repeated column
+        cfg, m = WindowConfig(d=len(m), h=h, o=o), MultiIndex(m)
+        seeds = stochastic._draw_seeds(spec.seed_interval(), 6, 5, bits)
+        got = stochastic._window_rows(spec, cfg, m, self.COLUMNS, seeds)
+        want = np.vstack([_one_seed_row(spec, cfg, m, self.COLUMNS, s) for s in seeds])
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    def test_kernel_chunks_cut_inside_rows(self, monkeypatch):
+        # a chunk boundary inside a seed's words changes no bit
+        monkeypatch.setattr(weyl, "_CHUNK", 5)
+        cfg, m = WindowConfig(d=2), MultiIndex((2, -1))
+        seeds = stochastic._draw_seeds(KOKSMA.seed_interval(), 7, 2, 64)
+        got = stochastic._window_rows(KOKSMA, cfg, m, self.COLUMNS, seeds)
+        want = np.vstack([_one_seed_row(KOKSMA, cfg, m, self.COLUMNS, s) for s in seeds])
+        assert got.tobytes() == want.tobytes()
+
+    def test_statistics_read_the_one_seed_rows(self):
+        # lemma2's symmetrized means and stderrs over the same rows, stacked by hand
+        cfg, m = WindowConfig(d=1), MultiIndex((1,))
+        fit = lemma2_decay_fit(KOKSMA, cfg, m, [1, 2, 5], n_seeds=9, master_seed=4, bit_width=64)
+        seeds = stochastic._draw_seeds(KOKSMA.seed_interval(), 9, 4, 64)
+        rows = np.vstack([_one_seed_row(KOKSMA, cfg, m, list(fit.pairs), s) for s in seeds])
+        mean, stderr = stochastic._mean_stderr(2.0 * rows.real)
+        assert fit.estimates == tuple(mean.tolist())
+        assert fit.stderrs == tuple(stderr.tolist())
 
 
 class TestBitSources:
@@ -716,30 +785,33 @@ class TestBitSources:
         with pytest.raises(ValueError):
             src.bits(11)
 
-    def test_bytes_msb_first(self):
-        assert BytesBitSource(b"\xa0").bits(4) == [1, 0, 1, 0]
-        assert BytesBitSource(b"\x01\x80").bits(9) == [0] * 7 + [1, 1]
 
-    def test_bytes_exhaustion(self):
-        with pytest.raises(ValueError):
-            BytesBitSource(b"\xff").bits(9)
+class _ListBits:
+    """A bit source reading a fixed list of bits."""
+
+    def __init__(self, bits):
+        self._bits = list(bits)
+
+    def bits(self, count: int) -> list[int]:
+        assert count <= len(self._bits)
+        return self._bits[:count]
 
 
 class TestGammaStream:
     def test_all_zero_bits(self):
-        xs = gamma_stream(BytesBitSource(b"\x00" * 32), 4, bits_per_uniform=8)
+        xs = gamma_stream(_ListBits([0] * 256), 4, bits_per_uniform=8)
         assert np.all(xs == 0.0)
 
     def test_all_one_bits(self):
-        xs = gamma_stream(BytesBitSource(b"\xff" * 5), 1, bits_per_uniform=8)
+        xs = gamma_stream(_ListBits([1] * 40), 1, bits_per_uniform=8)
         assert xs[0] == 255 / 256
 
     def test_single_bit_uniforms_read_first_column(self):
         # with one bit per uniform, uniform i is bit gamma_index(i, 1) / 2
-        data = bytearray(2)
+        bits = [0] * 16
         for idx in (1, 4):  # bits feeding uniforms 1 and 3
-            data[(idx - 1) >> 3] |= 1 << (7 - ((idx - 1) & 7))
-        xs = gamma_stream(BytesBitSource(bytes(data)), 4, bits_per_uniform=1)
+            bits[idx - 1] = 1
+        xs = gamma_stream(_ListBits(bits), 4, bits_per_uniform=1)
         assert list(xs) == [0.5, 0.0, 0.5, 0.0]
 
     @pytest.mark.parametrize("count", [0, 1, 7])
@@ -782,4 +854,4 @@ class TestGammaStream:
         with pytest.raises(ValueError):
             GammaStream(None, bits_per_uniform=0)
         with pytest.raises(ValueError):
-            gamma_stream(BytesBitSource(b""), -1, bits_per_uniform=1)
+            gamma_stream(_ListBits([]), -1, bits_per_uniform=1)
