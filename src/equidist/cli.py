@@ -12,6 +12,7 @@ recorded in the report config and never read.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -473,12 +474,19 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--format", dest="output_format", choices=("json", "csv"))
 
 
-def parse_args(argv) -> RunConfig:
+@functools.cache
+def _parser() -> _Parser:
+    """The argparse tree, built once per process: parsing never changes it, and each
+    parse fills a new namespace whose unset flags are None."""
     parser = _Parser(prog="equidist", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         _add_common(sub.add_parser(name, help=f"{name} command"))
-    ns = parser.parse_args(argv)
+    return parser
+
+
+def parse_args(argv) -> RunConfig:
+    ns = _parser().parse_args(argv)
     if ns.config:
         with open(ns.config) as fh:
             cfg = RunConfig.from_text(fh.read())

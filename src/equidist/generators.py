@@ -16,9 +16,15 @@ in the caller's order, exact residues for the integer families and
 Every sample is a ratio of integers (`UnitSample.ratio`, `_ratios_at`):
 residue / q, or koksma's mantissa / 2^64 after `frac` wraps a rescale that
 rounded up to 1.  Weyl phases, in `criterion_scan` and the Monte-Carlo
-engine alike, are built from the ratios in integers (`weyl._unit_words`);
-floats come only from `unit_float`, one correct rounding clamped below 1,
-so a mantissa of 2^64 - 1 is 1 - 2^-53, not 1.0.
+engine alike, are the words w = floor(2^64 r / q) of the ratios, defined in
+integers by `weyl._unit_words`, the tests' oracle.  `weyl._words_at` builds
+them without a division.  For an odd q, r 2^64 = w q + R with 0 <= R < q, so
+w = -R q^-1 mod 2^64 exactly (w < 2^64); every exact family is linear in p,
+so the walk run with the multiplier p' = 2^64 p mod q (`_samples_at`'s
+`multiplier`) gives each R.  koksma's mantissas over 2^64 are their words,
+and an even q, only in a hand-built seed, takes `_unit_words`.  Floats come
+only from `unit_float`, one correct rounding clamped below 1, so a mantissa
+of 2^64 - 1 is 1 - 2^-53, not 1.0.
 
 Multidimensional points come from two constructions over scalar streams,
 interleaved blocks over d independent seeds or windows over one stream
@@ -56,6 +62,8 @@ FAMILIES = (
 )
 
 CONSTRUCTIONS = ("interleaved_a", "sliding_bc")
+
+_UNIT_INTERVAL = (Fraction(0), Fraction(1))  # the seed interval of the integer families
 
 
 @dataclass(frozen=True)
@@ -153,9 +161,7 @@ class GeneratorSpec:
         return self.family != "koksma"
 
     def seed_interval(self) -> tuple[Fraction, Fraction]:
-        if self.exact:
-            return (Fraction(0), Fraction(1))
-        return self.interval
+        return _UNIT_INTERVAL if self.exact else self.interval
 
 
 @dataclass(frozen=True)
@@ -265,13 +271,15 @@ def unit_float(numerator: int, denominator: int) -> float:
 # -- scalar streams ------------------------------------------------------
 
 
-def _samples_at(spec: GeneratorSpec, seed: RationalSeed, indices: list[int]) -> list:
+def _samples_at(spec: GeneratorSpec, seed: RationalSeed, indices, multiplier=None) -> list:
     """Samples beta_k at generator indices, in the caller's order.
 
     Indices k >= 1 may repeat and come in any order.  Integer-coefficient
     families give exact residues c_k * p mod q (beta_k = residue / q); koksma
     gives frac(t^k) as a `FixedPointReal` of POWER_STREAM_FRAC_BITS bits,
-    read as a ratio through `_frac_ratio`.
+    read as a ratio through `_frac_ratio`.  An integer family walks c_k * a mod q
+    with a = `multiplier` in place of p when one is given (0 <= a < q); the seed
+    p / q is still the one checked against the family interval.
 
     Every family walks the sorted distinct indices once.  Factorial multiplies
     through each gap, multiplicative by base^gap mod q, koksma jumps the exact
@@ -280,12 +288,14 @@ def _samples_at(spec: GeneratorSpec, seed: RationalSeed, indices: list[int]) -> 
     products per composite.  Weyl and linear families are direct.
     """
     lo, hi = spec.seed_interval()
-    if not lo < seed.value < hi:
+    q, p = seed.denominator, seed.numerator
+    if not lo.numerator * q < p * lo.denominator or not p * hi.denominator < hi.numerator * q:
         raise ValueError(f"seed {seed} outside the family interval ({lo}, {hi})")
     walk = indices if _ascending(indices) else sorted(set(indices))
     if walk and walk[0] < 1:
         raise ValueError(f"generator indices start at 1, got {walk[0]}")
-    q, p = seed.denominator, seed.numerator
+    if multiplier is not None:
+        p = multiplier
     fam = spec.family
     out, acc, k = [], p % q, 0
     if fam == "weyl_power" and spec.power == 1:
@@ -353,8 +363,11 @@ def _self_powers(walk, q: int) -> list[int]:
     return [table[k] if k <= top else pow(k, k, q) for k in walk]
 
 
-def _ascending(values: list) -> bool:
-    """Strictly increasing, so already sorted and free of repeats."""
+def _ascending(values) -> bool:
+    """Strictly increasing, so already sorted and free of repeats; a range with a
+    positive step is, at once."""
+    if isinstance(values, range) and values.step > 0:
+        return True
     return all(map(operator.lt, values, itertools.islice(values, 1, None)))
 
 

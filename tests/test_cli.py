@@ -73,6 +73,14 @@ class TestParseArgs:
         assert cfg.n_max == 900
         assert cfg.d == 2
 
+    def test_no_value_leaks_between_calls(self):
+        # one argparse tree serves every call; each call parses into a new namespace
+        first = parse_args(["weyl", "--d", "3", "--N", "500", "--family", "self_power"])
+        assert (first.command, first.d, first.n_max, first.family) == ("weyl", 3, 500, "self_power")
+        second = parse_args(["generate"])
+        assert second == RunConfig(command="generate")
+        assert first.d == 3
+
     def test_save_config(self, tmp_path):
         out = tmp_path / "saved.cfg"
         cfg = parse_args(["gamma", "--count", "9", "--save-config", str(out)])

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -132,6 +133,32 @@ class TestBetaStreams:
     def test_seed_outside_family_interval(self):
         with pytest.raises(ValueError):
             beta_stream(GeneratorSpec.koksma(2), THIRD, 3)
+
+    @pytest.mark.parametrize(
+        "spec, lo, hi",
+        [
+            (GeneratorSpec.factorial(), Fraction(0), Fraction(1)),
+            (GeneratorSpec.weyl(1), Fraction(0), Fraction(1)),
+            (GeneratorSpec.koksma(2), Fraction(1), Fraction(2)),
+            (GeneratorSpec.koksma(Fraction(5, 3)), Fraction(1), Fraction(5, 3)),
+        ],
+        ids=["factorial", "weyl1", "koksma_2", "koksma_5_3"],
+    )
+    def test_seed_interval_edges(self, spec, lo, hi):
+        # a ratio on an edge is rejected, the nearest numerator inside over the same q
+        # is read; the edges are not RationalSeeds, so bare (numerator, denominator) pairs
+        for q in (3, 7, 2**64 + 13):
+            for edge, inside in ((lo, math.floor(lo * q) + 1), (hi, math.ceil(hi * q) - 1)):
+                p = edge * q
+                if p.denominator == 1:
+                    on_edge = SimpleNamespace(numerator=int(p), denominator=q)
+                    with pytest.raises(ValueError, match="outside the family interval"):
+                        _samples_at(spec, on_edge, [1, 2])
+                seed = RationalSeed(inside, q, interval=(lo, hi), prime_denominator=False)
+                assert len(_samples_at(spec, seed, [1, 2])) == 2
+        outside = SimpleNamespace(numerator=int(hi * 3) + 1, denominator=3)
+        with pytest.raises(ValueError, match="outside the family interval"):
+            _samples_at(spec, outside, [1])
 
 
 class TestUnitSample:

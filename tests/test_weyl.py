@@ -14,6 +14,7 @@ from equidist.generators import (
     GeneratorSpec,
     UnitSample,
     WindowConfig,
+    _ratios_at,
     _read_windows,
     beta_stream,
     interleaved_vectors,
@@ -24,6 +25,7 @@ from equidist.weyl import (
     MultiIndex,
     PhaseTable,
     WeylSeries,
+    _neg_inverse,
     _phase_columns,
     _running_sums,
     _term_chunks,
@@ -404,6 +406,65 @@ class TestPhaseKernel:
         for m in canonical_half(d, 2):
             want = _reference_weyl(points, m, scan.checkpoints)
             assert max(abs(a - b) for a, b in zip(scan.series[m].values, want)) <= W_BOUND
+
+
+WORD_SPECS = {
+    "factorial": GeneratorSpec.factorial(),
+    "mult3": GeneratorSpec.multiplicative(3),
+    "weyl1": GeneratorSpec.weyl(1),
+    "weyl2": GeneratorSpec.weyl(2),
+    "self_power": GeneratorSpec.self_power(),
+    "linear": GeneratorSpec.linear([3, 1, 4, 1, 5, 9, 2, 6] * 50),
+    "permuted": GeneratorSpec.factorial().permuted(range(400, 0, -1)),
+    "koksma": GeneratorSpec.koksma(),
+}
+COMPOSITE_Q = 3**41 * 5**3 * 11  # odd, composite, above 2^64
+
+
+def _defining_words(spec, seed, positions) -> np.ndarray:
+    """The oracle: `_unit_words`, the division floor(2^64 r / q), of `_ratios_at`."""
+    nums, q = _ratios_at(spec, seed, positions)
+    return _unit_words(nums, [q] * len(nums))
+
+
+class TestDivisionFreeWords:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(WORD_SPECS)),
+        kind=st.sampled_from([64, 256, "q = 2", "odd composite q"]),
+        master=st.integers(0, 2**32),
+        data=st.data(),
+    )
+    def test_words_are_the_defining_floor(self, name, kind, master, data):
+        spec = WORD_SPECS[name]
+        lo, hi = spec.seed_interval()
+        if kind in (64, 256):
+            seed = SeedSampler(master, bit_width=kind).sample((lo, hi))
+        else:
+            q = 2 if kind == "q = 2" else COMPOSITE_Q
+            inside = st.integers(int(lo * q) + 1, int(hi * q) - 1)
+            p = data.draw(inside.filter(lambda p: math.gcd(p, q) == 1), label="p")
+            seed = RationalSeed(p, q, interval=(lo, hi), prime_denominator=False)
+        dense = data.draw(st.builds(range, st.integers(1, 40), st.integers(1, 400),
+                                    st.integers(1, 5)), label="dense")
+        listed = data.draw(st.lists(st.integers(1, 400), max_size=60), label="listed")
+        for positions in (dense, listed):
+            got = _words_at(spec, seed, positions)
+            assert got.tobytes() == _defining_words(spec, seed, positions).tobytes()
+        cfg = WindowConfig(d=2, h=2, o=1)
+        count = data.draw(st.integers(0, 150), label="count")
+        ks = data.draw(st.lists(st.integers(1, 150), max_size=40), label="ks")
+        for windows in (count, ks):  # ranges and window lists, repeats in any order
+            got = _read_windows(_words_at, spec, seed, cfg, windows)
+            want = _read_windows(_defining_words, spec, seed, cfg, windows)
+            assert [w.tobytes() for w in got] == [w.tobytes() for w in want]
+
+    def test_neg_inverse(self):
+        rng = random.Random(11)
+        for q in [1, 3, 2**64 - 1, 2**64 + 1, COMPOSITE_Q] + [
+            rng.getrandbits(bits) | 1 for bits in (8, 64, 256) for _ in range(30)
+        ]:
+            assert q * _neg_inverse(q) % 2**64 == 2**64 - 1
 
 
 def _word_table(spec, seed, cfg, ks) -> PhaseTable:
