@@ -207,22 +207,15 @@ class SeedSampler:
     """Reproducible source of random rational seeds.
 
     Identical (rng seed, bit_width) yields the identical seed sequence.
-    `spawn(i)` derives an independent child stream i without consuming
-    state from the parent.
+    Statistics and commands take several seeds as the first draws of one
+    sampler (`stochastic._draw_seeds`).
     """
 
     def __init__(self, rng_seed: int, bit_width: int = DEFAULT_SEED_BITS):
         if bit_width < 4:
             raise ValueError("bit_width must be at least 4")
-        self.rng_seed = rng_seed
         self.bit_width = bit_width
         self._rng = random.Random(rng_seed)
-
-    def spawn(self, index: int) -> "SeedSampler":
-        import hashlib
-
-        digest = hashlib.sha256(f"{self.rng_seed}:{index}".encode()).digest()
-        return SeedSampler(int.from_bytes(digest[:8], "big"), self.bit_width)
 
     def _random_prime(self) -> int:
         b = self.bit_width
@@ -290,15 +283,8 @@ class FixedPointReal:
         m, inexact = _round_div(value.numerator << frac_bits, value.denominator)
         return cls(m, frac_bits, 1 if inexact else 0)
 
-    def to_fraction(self) -> Fraction:
-        """The represented dyadic value (not the unknown true value)."""
-        return Fraction(self.mantissa, 1 << self.frac_bits)
-
     def to_float(self) -> float:
         return self.mantissa / (1 << self.frac_bits)
-
-    def error_bound(self) -> Fraction:
-        return Fraction(self.err_ulps, 1 << self.frac_bits)
 
     def mul(self, other: "FixedPointReal") -> "FixedPointReal":
         if other.frac_bits != self.frac_bits:

@@ -22,10 +22,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .arithmetic import order_at_most
+from .arithmetic import DEFAULT_SEED_BITS, order_at_most
 from .discrepancy import star_discrepancy_1d
 from .errors import EquidistError
 from .generators import (
+    CONSTRUCTIONS,
+    FAMILIES,
     ArithmeticIndices,
     GeneratorSpec,
     WindowConfig,
@@ -51,15 +53,10 @@ from .weyl import (
 )
 
 FAMILY_ALIASES = {
+    **{family: family for family in FAMILIES},
     "weyl": "weyl_power",
-    "weyl_power": "weyl_power",
-    "multiplicative": "multiplicative",
-    "factorial": "factorial",
-    "self_power": "self_power",
     "self-power": "self_power",
     "linear": "linear_integer",
-    "linear_integer": "linear_integer",
-    "koksma": "koksma",
 }
 
 
@@ -83,7 +80,7 @@ class RunConfig:
     m_components: str = "1"
     big_h: int = 8
     n_seeds: int = 32
-    seed_bits: int = 256
+    seed_bits: int = DEFAULT_SEED_BITS
     master_rng_seed: int = 1
     count: int = 4
     bits: int = 32
@@ -99,7 +96,7 @@ class RunConfig:
             raise ValueError(f"unknown family {self.family!r}")
         if self.output_format not in ("json", "csv"):
             raise ValueError(f"format must be json or csv, got {self.output_format!r}")
-        if self.construction not in ("sliding_bc", "interleaved_a"):
+        if self.construction not in CONSTRUCTIONS:
             raise ValueError(f"unknown construction {self.construction!r}")
         positives = (
             "power",
@@ -233,7 +230,7 @@ def _series_payload(scan) -> dict:
 # -- commands ----------------------------------------------------------------
 
 
-def _draw(cfg: RunConfig, spec: GeneratorSpec, count: int) -> list:
+def _draw(cfg: RunConfig, spec: GeneratorSpec, count: int) -> tuple:
     return _draw_seeds(spec.seed_interval(), count, cfg.master_rng_seed, cfg.seed_bits)
 
 
@@ -458,7 +455,7 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--d", dest="d", type=int, help="window dimension")
     p.add_argument("--h", dest="h", type=int, help="window step")
     p.add_argument("--o", dest="o", type=int, help="window offset")
-    p.add_argument("--construction", choices=("sliding_bc", "interleaved_a"))
+    p.add_argument("--construction", choices=CONSTRUCTIONS)
     p.add_argument("--N", dest="n_max", type=int, help="sequence length")
     p.add_argument("--m-radius", dest="m_radius", type=int)
     p.add_argument("--m", dest="m_components", help="comma-separated multi-index")

@@ -161,7 +161,7 @@ class GeneratorSpec:
         return self.family != "koksma"
 
     def seed_interval(self) -> tuple[Fraction, Fraction]:
-        return _UNIT_INTERVAL if self.exact else self.interval
+        return _UNIT_INTERVAL if self.exact else tuple(self.interval)  # a key of _draw_seeds
 
 
 @dataclass(frozen=True)
@@ -413,7 +413,13 @@ def beta_stream(spec: GeneratorSpec, seed: RationalSeed, count: int) -> list[Uni
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    indices = _indices_at(spec, range(1, count + 1))
+    return _unit_samples_at(spec, seed, range(1, count + 1))
+
+
+def _unit_samples_at(spec: GeneratorSpec, seed: RationalSeed, positions) -> list[UnitSample]:
+    """The samples at 1-based stream positions as `UnitSample`s, each carrying the
+    generator index `_indices_at` puts there."""
+    indices = _indices_at(spec, positions)
     samples = _samples_at(spec, seed, indices)
     if spec.exact:
         q = seed.denominator
@@ -426,8 +432,8 @@ def beta_stream(spec: GeneratorSpec, seed: RationalSeed, count: int) -> list[Uni
 
 def _read_windows(read, spec: GeneratorSpec | None, seed, cfg: WindowConfig, ks) -> list:
     """Coordinate j of the windows `ks` (`WindowConfig.positions`) as read(spec, seed,
-    positions) returns it, an array in the order of `positions`, from the one seed of
-    sliding_bc or from seed j of interleaved_a (see `_read_seed`)."""
+    positions) returns it in their order (an array when `ks` lists windows), from the one
+    seed of sliding_bc or from seed j of interleaved_a (see `_read_seed`)."""
     positions = cfg.positions(ks)
     if cfg.construction == "sliding_bc":
         if isinstance(seed, (list, tuple)):
@@ -463,12 +469,8 @@ def interleaved_vectors(spec: GeneratorSpec, seeds, count: int) -> list[tuple[Un
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
-
-    def read(spec, seed, at):  # beta_stream at the positions of an unpermuted stream
-        return np.array(beta_stream(spec.permuted(at), seed, len(at)), dtype=object)
-
     cfg = WindowConfig(d=len(seeds), construction="interleaved_a")
-    return list(zip(*_read_windows(read, spec, seeds, cfg, count)))
+    return list(zip(*_read_windows(_unit_samples_at, spec, seeds, cfg, count)))
 
 
 # -- float consumption ---------------------------------------------------

@@ -18,8 +18,8 @@ exact samples at the positions of `WindowConfig.positions` (no float crossing),
 in one kernel pass over all seeds for a few windows (`_window_rows`) and one
 pass per seed for |S_n| (`_prefix_rows`).  Each estimate is then the column
 mean of the rows with standard error std(ddof=1) / sqrt(n_seeds) (`_mean_stderr`).
-One input needs no seed: when the family's closed form proves every window
-frequency w_k zero (`_zero_frequency`), every Y_k is 1 for every seed, so the
+One input needs no seed: when the exact window sums w_k (`_window_sums`) are
+zero for every window (`_zero_frequency`), every Y_k is 1 for every seed, so the
 |S_n| rows are exactly n and the engine returns them without drawing.
 """
 
@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arithmetic import RationalSeed, SeedSampler
+from .arithmetic import DEFAULT_SEED_BITS, RationalSeed, SeedSampler
 from .generators import (
     GeneratorSpec,
     WindowConfig,
@@ -45,6 +45,7 @@ from .generators import (
 from .weyl import (
     MultiIndex,
     PhaseTable,
+    _checkpoints,
     _words_at,
     as_multi_index,
     checkpoint_grid,
@@ -52,7 +53,6 @@ from .weyl import (
 )
 
 DEFAULT_MC_SEEDS = 256
-DEFAULT_MC_BITS = 256
 
 
 # -- exact frequency certificates ------------------------------------------
@@ -178,27 +178,22 @@ def _prefix_rows(spec, cfg, m, at, seeds) -> list:
 
 
 def _zero_frequency(spec: GeneratorSpec, m: MultiIndex) -> bool:
-    """Whether the family's closed form proves w_k = 0 for every window k, any h and o.
+    """Whether the window sum w_k (`_window_sums`) is 0 for every window k, any h and o.
 
     Window k reads c_{s+1} .. c_{s+d}, s + 1 its first position
-    (`WindowConfig.positions`).  Multiplicative: w_k = M^(s+1) sum_j m_j M^(j-1).
-    weyl_power p: w_k = sum_i C(p, i) s^(p-i) sum_j m_j j^i.  Other families,
-    and any permuted stream, are not certified.
+    (`WindowConfig.positions`).  A multiplicative sum is M^s times the one at
+    s = 0, and a weyl_power p sum is a polynomial of degree <= p in s, so sums
+    that vanish at s = 0 .. p (windows 1 .. p + 1 at h = 1, o = 0) vanish at
+    every s.  Other families, and any permuted stream, are not certified.
     """
-    if spec.permutation is not None:
+    if spec.permutation is not None or spec.family not in ("multiplicative", "weyl_power"):
         return False
-    comps = m.components
-    if spec.family == "multiplicative":
-        return sum(c * spec.base**j for j, c in enumerate(comps)) == 0
-    if spec.family == "weyl_power":
-        return all(
-            sum(c * j**i for j, c in enumerate(comps, start=1)) == 0
-            for i in range(spec.power + 1)
-        )
-    return False
+    count = 1 if spec.family == "multiplicative" else spec.power + 1
+    return not any(_window_sums(spec, WindowConfig(d=m.d), m, range(1, count + 1)).values())
 
 
-def _require_sliding(cfg: WindowConfig, m: MultiIndex) -> None:
+def _require_inputs(cfg: WindowConfig, m: MultiIndex, n_seeds, master_seed, bit_width) -> None:
+    """Every seed-averaged statistic's checks, seeds drawn or not (a draw's own included)."""
     if cfg.construction != "sliding_bc":
         raise ValueError(
             "seed-averaged statistics window one seed's stream (sliding_bc); "
@@ -206,19 +201,16 @@ def _require_sliding(cfg: WindowConfig, m: MultiIndex) -> None:
         )
     if m.d != cfg.d:
         raise ValueError(f"multi-index {m} has d = {m.d}, but the windows have d = {cfg.d}")
-
-
-def _draw_seeds(interval, n_seeds: int, master_seed: int, bit_width: int) -> list[RationalSeed]:
-    """The first n_seeds draws of SeedSampler(master_seed, bit_width), as a new list.
-
-    Each seed set is drawn once per process and memoized (`_seed_set`), so
-    statistics that average over the same master seed share one draw.
-    """
-    return list(_seed_set(tuple(interval), n_seeds, master_seed, bit_width))
+    if n_seeds < 2:
+        raise ValueError("n_seeds must be at least 2 for a standard error")
+    SeedSampler(master_seed, bit_width)
 
 
 @functools.lru_cache(maxsize=16)
-def _seed_set(interval, n_seeds: int, master_seed: int, bit_width: int) -> tuple[RationalSeed, ...]:
+def _draw_seeds(interval, n_seeds: int, master_seed: int, bit_width: int) -> tuple[RationalSeed, ...]:
+    """The first n_seeds draws of SeedSampler(master_seed, bit_width) in `interval`, a
+    tuple: the one way to take several seeds, memoized, so statistics on one master seed
+    share one draw and a repeated call returns the same tuple."""
     sampler = SeedSampler(master_seed, bit_width)
     return tuple(sampler.sample(interval) for _ in range(n_seeds))
 
@@ -231,13 +223,10 @@ def _seed_rows(rows, spec, cfg, m, arg, n_seeds, master_seed, bit_width):
     of 2^64, so each term has real part exactly 1.0 and every seed's row is
     the float n itself.  They are returned as n_seeds references to that one read-only
     row, with no seed drawn; n_seeds, master_seed and bit_width are checked
-    as a draw would check them.
+    as a draw would check them (`_require_inputs`).
     """
-    _require_sliding(cfg, m)
-    if n_seeds < 2:
-        raise ValueError("n_seeds must be at least 2 for a standard error")
+    _require_inputs(cfg, m, n_seeds, master_seed, bit_width)
     if rows is _prefix_rows and _zero_frequency(spec, m):
-        SeedSampler(master_seed, bit_width)  # the draw's checks, with nothing drawn
         exact = arg + 1.0
         exact.flags.writeable = False
         return [exact] * n_seeds
@@ -293,7 +282,7 @@ def mc_moment(
     target: MomentTarget,
     n_seeds: int = DEFAULT_MC_SEEDS,
     master_seed: int = 0,
-    bit_width: int = DEFAULT_MC_BITS,
+    bit_width: int = DEFAULT_SEED_BITS,
 ) -> MomentEstimate:
     """Monte-Carlo estimate of a seed-averaged moment with its stderr.
 
@@ -339,7 +328,7 @@ def del_criterion(
     n_max: int,
     n_seeds: int = DEFAULT_MC_SEEDS,
     master_seed: int = 0,
-    bit_width: int = DEFAULT_MC_BITS,
+    bit_width: int = DEFAULT_SEED_BITS,
 ) -> SllnDiagnostics:
     """Partial sums of (1/n) E(|S_n|/n)^2 along the checkpoint grid.
 
@@ -405,26 +394,25 @@ def wcud_check(
     checkpoints,
     n_seeds: int = DEFAULT_MC_SEEDS,
     master_seed: int = 0,
-    bit_width: int = DEFAULT_MC_BITS,
+    bit_width: int = DEFAULT_SEED_BITS,
 ) -> SllnDiagnostics:
     """Trend test of E|S_N|/N, the averaged Weyl criterion.
 
-    `checkpoints` is either N_max (the default grid is used) or an
-    explicit increasing list.  Verdict "consistent": the trajectory
-    decreases within noise and ends below max(0.1, 5 * stderr).  Verdict
-    "refuted": the final value stays above that threshold by more than
-    5 stderr, so the mean is bounded away from zero beyond Monte-Carlo
-    error.  Anything else is "inconclusive".  For a zero-frequency m,
-    |S_N|/N = 1 exactly and no seed is drawn: n_seeds, master_seed and
-    bit_width are only validated.
+    `checkpoints` is either N_max (the default grid is used) or an explicit
+    list, validated by `weyl._checkpoints`: ints (numpy integers too; a
+    float raises TypeError), positive and strictly increasing.  Verdict
+    "consistent": the trajectory decreases within noise and ends below
+    max(0.1, 5 * stderr).  Verdict "refuted": the final value stays above
+    that threshold by more than 5 stderr, so the mean is bounded away from
+    zero beyond Monte-Carlo error.  Anything else is "inconclusive".  For a
+    zero-frequency m, |S_N|/N = 1 exactly and no seed is drawn: n_seeds,
+    master_seed and bit_width are only validated.
     """
     m = as_multi_index(m)
     if isinstance(checkpoints, numbers.Integral):
         cps = checkpoint_grid(checkpoints)
     else:
-        cps = [int(n) for n in checkpoints]
-        if not cps or any(b <= a for a, b in zip(cps, cps[1:])) or cps[0] < 1:
-            raise ValueError("checkpoints must be strictly increasing and positive")
+        cps = _checkpoints(checkpoints)
     at = np.array(cps) - 1
     rows = _seed_rows(_prefix_rows, spec, cfg, m, at, n_seeds, master_seed, bit_width)
     mean, stderr = _mean_stderr(np.vstack(rows) / np.array(cps, dtype=float))
@@ -475,7 +463,7 @@ def lemma2_decay_fit(
     n_seeds: int = DEFAULT_MC_SEEDS,
     master_seed: int = 0,
     pair_sum: int | None = None,
-    bit_width: int = DEFAULT_MC_BITS,
+    bit_width: int = DEFAULT_SEED_BITS,
 ) -> DecayFit:
     """Estimate the power-law exponent of E(Y_k conj Y_l + conj) in |k - l|.
 
@@ -542,19 +530,20 @@ def lemma3_check(
     n_seeds: int = DEFAULT_MC_SEEDS,
     master_seed: int = 0,
     n_pairs: int = 64,
-    bit_width: int = DEFAULT_MC_BITS,
+    bit_width: int = DEFAULT_SEED_BITS,
 ) -> FarPairCheck:
     """Audit pair moments with min(l, k - l) >= sqrt(n).
 
     Integer-linear families are audited exactly through their frequencies
     at the generator indices each window reads (moment 2 when the frequency
-    vanishes, 0 otherwise); the power family is estimated by Monte Carlo.
+    vanishes, 0 otherwise), with no seed drawn: n_seeds, master_seed and
+    bit_width are only validated.  The power family is estimated by Monte Carlo.
     "pass" means every far pair is zero or statistically consistent with
     zero at 4 stderr; a pair bounded away from zero beyond that (margin
     above 0.25) fails the decay hypothesis.
     """
     m = as_multi_index(m)
-    _require_sliding(cfg, m)
+    _require_inputs(cfg, m, n_seeds, master_seed, bit_width)
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be positive, got {n_pairs}")
     gap = math.isqrt(n - 1) + 1
@@ -642,7 +631,7 @@ class SeedBitSource:
         return np.unpackbits(packed)[8 * nbytes - count :].tolist()
 
 
-def default_bit_source(master_seed: int, bit_width: int = DEFAULT_MC_BITS) -> SeedBitSource:
+def default_bit_source(master_seed: int, bit_width: int = DEFAULT_SEED_BITS) -> SeedBitSource:
     (seed,) = _draw_seeds((Fraction(0), Fraction(1)), 1, master_seed, bit_width)
     return SeedBitSource(seed)
 

@@ -166,16 +166,12 @@ def _running_sums(parts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _checkpoints_for(n: int, checkpoints) -> tuple[int, ...]:
-    cps = (n,) if checkpoints is None else tuple(int(c) for c in checkpoints)
-    if not cps:
-        raise ValueError("need at least one checkpoint")
-    if any(b <= a for a, b in zip(cps, cps[1:])):
-        raise ValueError("checkpoints must be strictly increasing")
-    if cps[0] < 1:
-        raise ValueError("checkpoints start at 1")
-    if cps[-1] > n:
-        raise StreamLengthError(f"checkpoint {cps[-1]} beyond {n} points")
+def _checkpoints(checkpoints) -> tuple[int, ...]:
+    """A checkpoint list as ints, each entry taken by `operator.index` (a numpy integer
+    passes, a float raises TypeError), nonempty, positive and strictly increasing."""
+    cps = tuple(map(operator.index, checkpoints))
+    if not cps or cps[0] < 1 or any(b <= a for a, b in zip(cps, cps[1:])):
+        raise ValueError("checkpoints must be nonempty, strictly increasing and positive")
     return cps
 
 
@@ -291,13 +287,16 @@ def _checkpoint_values(ends: list, sums: np.ndarray, cps: tuple) -> np.ndarray:
 
 
 def weyl_sum(points, m, checkpoints=None) -> WeylSeries:
-    """W_N(m) at the checkpoints for a phase table, float rows or exact points; a
-    non-canonical m is computed on -m and conjugated, so W_N(-m) == conj(W_N(m))."""
+    """W_N(m) at the checkpoints (`_checkpoints`; N alone by default, one beyond N raises
+    StreamLengthError) for a phase table, float rows or exact points; a non-canonical m
+    is computed on -m and conjugated, so W_N(-m) == conj(W_N(m))."""
     m = as_multi_index(m)
     if not m.canonical:
         return weyl_sum(points, -m, checkpoints).conjugate()
     columns, n = _phase_columns(points, m)
-    cps = _checkpoints_for(n, checkpoints)
+    cps = (n,) if checkpoints is None else _checkpoints(checkpoints)
+    if cps[-1] > n:
+        raise StreamLengthError(f"checkpoint {cps[-1]} beyond {n} points")
     ends, sums = zip(*((e, np.sum(t[s])) for a, t in _term_chunks(columns, cps[-1])
                        for e, s in _segments(a, len(t), cps)))
     values = _checkpoint_values(ends, np.array(sums)[:, None], cps)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from equidist.arithmetic import SeedSampler
+from equidist.arithmetic import DEFAULT_SEED_BITS, SeedSampler
 from equidist.discrepancy import (
     etk_bound,
     star_discrepancy_1d,
@@ -26,6 +26,7 @@ from equidist.generators import (
 )
 from equidist.stochastic import (
     MomentTarget,
+    _draw_seeds,
     c_of_m_scan,
     default_bit_source,
     del_criterion,
@@ -223,7 +224,7 @@ def test_criterion_05_exact_orthogonality_certificates():
 def test_criterion_06_factorial_complete_equidistribution():
     t0 = time.perf_counter()
     n = 100_000
-    seeds = [SeedSampler(301).spawn(i).sample() for i in range(32)]
+    seeds = _draw_seeds(FACTORIAL.seed_interval(), 32, 301, DEFAULT_SEED_BITS)
     hits = {(d, m.components): 0 for d in (1, 2, 3) for m in canonical_half(d, 3)}
     for seed in seeds:
         for d in (1, 2, 3):

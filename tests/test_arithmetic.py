@@ -231,11 +231,6 @@ class TestSeedSampler:
         for _ in range(5):
             assert a.sample() == b.sample()
 
-    def test_spawned_streams_differ(self):
-        base = SeedSampler(11, bit_width=64)
-        child = SeedSampler(11, bit_width=64).spawn(1)
-        assert base.sample() != child.sample()
-
     def test_pinned_draw_verified_independently(self):
         """Re-derive the pinned draw's guarantees without library calls."""
         seed = SeedSampler(1, bit_width=8).sample()
@@ -271,20 +266,18 @@ class TestSeedSampler:
 class TestFixedPointReal:
     def test_dyadic_exact(self):
         x = FixedPointReal.from_fraction(Fraction(5, 8), 10)
-        assert x.err_ulps == 0
-        assert x.to_fraction() == Fraction(5, 8)
+        assert (x.mantissa, x.frac_bits, x.err_ulps) == (640, 10, 0)
 
     def test_inexact_flagged(self):
         x = FixedPointReal.from_fraction(Fraction(1, 3), 10)
         assert x.err_ulps == 1
-        assert abs(x.to_fraction() - Fraction(1, 3)) <= x.error_bound()
+        assert abs(x.mantissa - Fraction(1, 3) * 2**10) <= x.err_ulps
 
     def test_mul_exact_dyadics(self):
         a = FixedPointReal.from_fraction(Fraction(3, 2), 8)
         b = FixedPointReal.from_fraction(Fraction(5, 4), 8)
         c = a.mul(b)
-        assert c.to_fraction() == Fraction(15, 8)
-        assert c.err_ulps == 0
+        assert (c.mantissa, c.err_ulps) == (15 * 2**5, 0)
 
     def test_mul_requires_same_width(self):
         a = FixedPointReal.from_fraction(Fraction(1, 2), 8)
@@ -294,7 +287,7 @@ class TestFixedPointReal:
 
     def test_frac_wraps_mantissa(self):
         x = FixedPointReal.from_fraction(Fraction(27, 8), 16)
-        assert x.frac().to_fraction() == Fraction(3, 8)
+        assert x.frac().mantissa == 3 * 2**13
 
     @given(
         st.fractions(min_value=0, max_value=4),
@@ -305,14 +298,14 @@ class TestFixedPointReal:
         a = FixedPointReal.from_fraction(x, 48)
         b = FixedPointReal.from_fraction(y, 48)
         c = a.mul(b)
-        assert abs(c.to_fraction() - x * y) <= c.error_bound()
+        assert abs(c.mantissa - x * y * 2**48) <= c.err_ulps
 
 
 class TestFixedPointPow:
     def test_dyadic_examples_exact(self):
         r = fixed_point_pow(Fraction(3, 2), 3)
-        assert r.to_fraction() == Fraction(27, 8)
-        assert r.err_ulps == 0
+        assert r.frac_bits == 64
+        assert (r.mantissa, r.err_ulps) == (27 * 2**61, 0)
 
     def test_sqrt2_like_base_to_64_bits(self):
         # approximately sqrt(2); the power reaches ~2^50 yet stays
@@ -320,7 +313,7 @@ class TestFixedPointPow:
         # working width
         t = Fraction(141421356, 10**8)
         r = fixed_point_pow(t, 100)
-        assert abs(r.to_fraction() - t**100) <= Fraction(4, 2**64)
+        assert abs(r.mantissa - t**100 * 2**64) <= 4
         assert r.err_ulps <= 4
 
     def test_error_bound_honest_random(self):
@@ -331,7 +324,7 @@ class TestFixedPointPow:
             if (t.numerator.bit_length() - t.denominator.bit_length() + 1) * k > 4000:
                 continue
             r = fixed_point_pow(t, k)
-            assert abs(r.to_fraction() - t**k) <= r.error_bound()
+            assert abs(r.mantissa - t**k * 2**r.frac_bits) <= r.err_ulps
 
     def test_budget_error(self):
         with pytest.raises(PrecisionBudgetError):
@@ -360,12 +353,12 @@ class TestPowerStream:
         t = Fraction(14, 9)
         for k, s in enumerate(fixed_point_power_stream(t, range(1, 51), Fraction(2)), start=1):
             exact = (t**k) % 1
-            assert abs(s.to_fraction() - exact) <= s.error_bound()
+            assert abs(s.mantissa - exact * 2**s.frac_bits) <= s.err_ulps
             assert s.err_ulps <= 4
 
     def test_koksma_cube_example(self):
         samples = list(fixed_point_power_stream(Fraction(3, 2), range(1, 4), Fraction(2)))
-        assert samples[2].to_fraction() == Fraction(3, 8)
+        assert samples[2].mantissa == 3 * 2**61
         assert samples[2].err_ulps == 0
 
     def test_step_cap(self):

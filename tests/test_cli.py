@@ -211,6 +211,21 @@ class TestExitCodes:
         assert code == 0
         assert "pass" in out
 
+    @pytest.mark.parametrize("seed_flags", [["--n-seeds", "1"], ["--seed-bits", "2"]],
+                             ids=["one-seed", "seed-bits"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["covariance", "--family", "factorial", "--m", "1"],
+         ["wcud", "--family", "multiplicative", "--M", "2", "--d", "2", "--m", "2,-1"]],
+        ids=["exact-covariance", "zero-frequency-wcud"],
+    )
+    def test_seed_flags_checked_without_a_draw(self, capsys, argv, seed_flags):
+        # neither statistic draws a seed; both check the seed flags as a draw would
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--N", "1000", *seed_flags])
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_wcud_refuted_is_two(self, capsys):
         code, out, _ = run_cfg(
             capsys,

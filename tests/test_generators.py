@@ -29,6 +29,7 @@ from equidist.generators import (
     windows_array,
 )
 from equidist.discrepancy import star_discrepancy_1d
+from equidist.stochastic import _draw_seeds
 
 
 def _values(stream):
@@ -294,8 +295,7 @@ READER_SPECS = [
     GeneratorSpec.linear([3, 1, 4, 1, 5, 9, 2, 6] * 20).permuted(range(160, 0, -1)),
 ]
 READER_SEEDS = [
-    [SeedSampler(41, bit_width=64).spawn(j).sample(spec.seed_interval()) for j in range(3)]
-    for spec in READER_SPECS
+    _draw_seeds(spec.seed_interval(), 3, 41, 64) for spec in READER_SPECS
 ]
 
 

@@ -28,7 +28,14 @@ from equidist.stochastic import (
     mc_moment,
     wcud_check,
 )
-from equidist.weyl import MultiIndex, PhaseTable, _words_at, degenerate_m_weyl, unit_terms
+from equidist.weyl import (
+    MultiIndex,
+    PhaseTable,
+    _words_at,
+    degenerate_m_weyl,
+    multi_indices,
+    unit_terms,
+)
 
 FACTORIAL = GeneratorSpec.factorial()
 MULT2 = GeneratorSpec.multiplicative(2)
@@ -312,6 +319,12 @@ class TestWcud:
             wcud_check(FACTORIAL, D1, (1,), [], n_seeds=8)
         with pytest.raises(ValueError):
             wcud_check(FACTORIAL, D1, (1,), [100], n_seeds=1)
+        for floats in ([10.7, 20.2], [10.0, 20.0], np.array([10.0, 20.0])):
+            with pytest.raises(TypeError):  # not truncated to (10, 20)
+                wcud_check(FACTORIAL, D1, (1,), floats, n_seeds=8)
+        a = wcud_check(FACTORIAL, D1, (1,), np.array([10, 20]), n_seeds=8)
+        assert a == wcud_check(FACTORIAL, D1, (1,), [10, 20], n_seeds=8)
+        assert all(type(n) is int for n in a.checkpoints)
 
 
 class TestDelCriterion:
@@ -535,9 +548,36 @@ def _refuse_draws(monkeypatch):
     def refuse(*args, **kwargs):
         raise _Drew
 
-    stochastic._seed_set.cache_clear()
+    stochastic._draw_seeds.cache_clear()
     monkeypatch.setattr(SeedSampler, "sample", refuse)
     return refuse
+
+
+def _closed_form_zero(spec: GeneratorSpec, m: MultiIndex) -> bool:
+    """Every window sum vanishes, by the families' closed forms: multiplicative
+    w = M^(s+1) sum_j m_j M^(j-1), weyl_power w = sum_i C(p, i) s^(p-i) sum_j m_j j^i."""
+    comps = m.components
+    if spec.family == "multiplicative":
+        return sum(c * spec.base**j for j, c in enumerate(comps)) == 0
+    if spec.family == "weyl_power":
+        return all(
+            sum(c * j**i for j, c in enumerate(comps, start=1)) == 0
+            for i in range(spec.power + 1)
+        )
+    return False
+
+
+class TestZeroFrequency:
+    @pytest.mark.parametrize(
+        "spec",
+        [MULT2, GeneratorSpec.multiplicative(3), GeneratorSpec.multiplicative(5),
+         GeneratorSpec.weyl(1), GeneratorSpec.weyl(2), GeneratorSpec.weyl(3), FACTORIAL],
+        ids=["mult2", "mult3", "mult5", "weyl1", "weyl2", "weyl3", "factorial"],
+    )
+    def test_window_sums_decide_as_the_closed_forms(self, spec):
+        for d in range(1, 6):
+            for m in multi_indices(d, 3 if d <= 3 else 2):
+                assert stochastic._zero_frequency(spec, m) == _closed_form_zero(spec, m), m
 
 
 class TestZeroFrequencyRows:
@@ -608,6 +648,8 @@ class TestZeroFrequencyRows:
         m, kw = (2, -1), {"n_seeds": 4, **kw}
         with pytest.raises(ValueError, match=match):
             wcud_check(MULT2, cfg, m, 100, **kw)
+        with pytest.raises(ValueError, match=match):  # the exact branch draws no seed either
+            lemma3_check(MULT2, cfg, m, 100, **kw)
         with pytest.raises(ValueError, match=match):
             del_criterion(MULT2, cfg, m, 100, **kw)
         with pytest.raises(ValueError, match=match):
@@ -615,27 +657,23 @@ class TestZeroFrequencyRows:
 
 
 class TestSeedMemo:
-    def test_repeat_draws_are_equal_fresh_lists(self):
+    def test_repeat_draws_are_the_same_tuple(self):
         args = ((Fraction(0), Fraction(1)), 4, 11, 64)
         first = stochastic._draw_seeds(*args)
-        second = stochastic._draw_seeds(*args)
-        assert first == second and first is not second
-        first.append(first[0])
-        first[0] = None
-        assert stochastic._draw_seeds(*args) == second
-        assert len(second) == 4
+        assert type(first) is tuple and len(first) == 4
+        assert stochastic._draw_seeds(*args) is first
 
     def test_draws_are_the_sampler_sequence(self):
         interval = (Fraction(1), Fraction(2))
         sampler = SeedSampler(12, 64)
-        want = [sampler.sample(interval) for _ in range(5)]
+        want = tuple(sampler.sample(interval) for _ in range(5))
         assert stochastic._draw_seeds(interval, 5, 12, 64) == want
 
     def test_memo_stays_at_cap(self):
-        cap = stochastic._seed_set.cache_info().maxsize
+        cap = stochastic._draw_seeds.cache_info().maxsize
         for master in range(cap + 5):
             stochastic._draw_seeds((Fraction(0), Fraction(1)), 2, 1000 + master, 16)
-        assert stochastic._seed_set.cache_info().currsize == cap
+        assert stochastic._draw_seeds.cache_info().currsize == cap
 
 
 class TestGammaIndex:

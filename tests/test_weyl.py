@@ -20,6 +20,7 @@ from equidist.generators import (
     interleaved_vectors,
     unit_float,
 )
+from equidist.stochastic import _draw_seeds
 from equidist.weyl import (
     _CHUNK,
     MultiIndex,
@@ -107,8 +108,10 @@ def _fraction_phases(points, m) -> np.ndarray:
     for vec in points:
         total = Fraction(0)
         for c, s in zip(m, vec):
-            if isinstance(s, UnitSample):
-                s = Fraction(s.residue, s.denominator) if s.exact else s.fixed.frac().to_fraction()
+            if isinstance(s, UnitSample) and s.exact:
+                s = Fraction(s.residue, s.denominator)
+            elif isinstance(s, UnitSample):
+                s = Fraction(s.fixed.frac().mantissa, 1 << s.fixed.frac_bits)
             total += c * Fraction(s)
         total -= math.floor(total)
         out.append(unit_float(total.numerator, total.denominator))
@@ -237,6 +240,12 @@ class TestWeylSum:
             weyl_sum(xs, (1,), checkpoints=[8, 4])
         with pytest.raises(ValueError):
             weyl_sum(xs, (1,), checkpoints=[32])
+        for floats in ([4.5, 8.2], [4.0, 8.0], np.array([4.0, 8.0])):
+            with pytest.raises(TypeError):  # not truncated to (4, 8)
+                weyl_sum(xs, (1,), checkpoints=floats)
+        series = weyl_sum(xs, (1,), checkpoints=np.array([4, 8]))
+        assert series == weyl_sum(xs, (1,), checkpoints=[4, 8])
+        assert all(type(n) is int for n in series.checkpoints)
 
     def test_magnitudes_bounded(self):
         xs = np.random.default_rng(7).random((100, 1))
@@ -399,7 +408,7 @@ class TestPhaseKernel:
     )
     def test_interleaved_scan_matches_fraction_reference(self, spec, d):
         n = 300
-        seeds = [SeedSampler(29, bit_width=64).spawn(j).sample() for j in range(d)]
+        seeds = _draw_seeds(spec.seed_interval(), d, 29, 64)
         cfg = WindowConfig(d=d, construction="interleaved_a")
         scan = criterion_scan(spec, seeds, cfg, 2, n)
         points = interleaved_vectors(spec, seeds, n)
@@ -510,7 +519,7 @@ class TestFactorScan:
     def test_matches_word_path(self, spec, cfg, radius, n):
         sampler = SeedSampler(31, bit_width=64)
         if cfg.construction == "interleaved_a":
-            seed = [sampler.spawn(j).sample() for j in range(cfg.d)]
+            seed = _draw_seeds(spec.seed_interval(), cfg.d, 31, 64)
         else:
             seed = sampler.sample(spec.seed_interval())
         scan = criterion_scan(spec, seed, cfg, radius, n)
