@@ -74,7 +74,7 @@ class ArithmeticIndices:
     stride: int = 1
 
     def __post_init__(self):
-        if self.start < 1 or self.stride < 1:
+        if operator.index(self.start) < 1 or operator.index(self.stride) < 1:
             raise ValueError("start and stride must be positive")
 
     def at(self, i: int) -> int:
@@ -97,8 +97,9 @@ def _descriptor_at(desc, i: int) -> int:
 class GeneratorSpec:
     """One sequence family with its parameters and an optional reindexing.
 
-    `permutation` rewires the output stream to beta_{a_1}, beta_{a_2}, ...;
-    indices must be positive and pairwise distinct over the consumed prefix.
+    `permutation` rewires the output stream to beta_{a_1}, beta_{a_2}, ...; built once,
+    a spec is checked once: integers by `operator.index`, listed entries positive and a
+    permutation's pairwise distinct over the whole tuple, and every spec hashes.
     """
 
     family: str
@@ -111,6 +112,14 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        for name, normal in (("power", operator.index), ("base", operator.index), ("interval", tuple)):
+            if (value := getattr(self, name)) is not None:  # Python ints: numpy ones wrap
+                object.__setattr__(self, name, normal(value))
+        for name, rule in (("coefficients", "positive"), ("permutation", "positive, distinct")):
+            if (desc := getattr(self, name)) is not None and not isinstance(desc, ArithmeticIndices):
+                object.__setattr__(self, name, desc := tuple(map(operator.index, desc)))
+                if min(desc, default=1) < 1 or name == "permutation" and len(set(desc)) < len(desc):
+                    raise ValueError(f"{name} entries must be {rule}")
         if self.family == "weyl_power" and (self.power is None or self.power < 1):
             raise ValueError("weyl_power needs a positive exponent")
         if self.family == "multiplicative" and (self.base is None or self.base < 2):
@@ -142,8 +151,6 @@ class GeneratorSpec:
 
     @classmethod
     def linear(cls, coefficients) -> "GeneratorSpec":
-        if not isinstance(coefficients, ArithmeticIndices):
-            coefficients = tuple(int(c) for c in coefficients)
         return cls("linear_integer", coefficients=coefficients)
 
     @classmethod
@@ -151,8 +158,6 @@ class GeneratorSpec:
         return cls("koksma", interval=(Fraction(1), Fraction(hi)))
 
     def permuted(self, indices) -> "GeneratorSpec":
-        if not isinstance(indices, ArithmeticIndices):
-            indices = tuple(int(i) for i in indices)
         return replace(self, permutation=indices)
 
     @property
@@ -161,7 +166,7 @@ class GeneratorSpec:
         return self.family != "koksma"
 
     def seed_interval(self) -> tuple[Fraction, Fraction]:
-        return _UNIT_INTERVAL if self.exact else tuple(self.interval)  # a key of _draw_seeds
+        return _UNIT_INTERVAL if self.exact else self.interval  # a key of _draw_seeds
 
 
 @dataclass(frozen=True)
@@ -174,11 +179,11 @@ class WindowConfig:
     construction: str = "sliding_bc"
 
     def __post_init__(self):
-        if self.d < 1:
+        if operator.index(self.d) < 1:
             raise ValueError("d must be at least 1")
-        if self.h < 1:
+        if operator.index(self.h) < 1:
             raise ValueError("h must be at least 1")
-        if self.o < 0:
+        if operator.index(self.o) < 0:
             raise ValueError("offset must be nonnegative")
         if self.construction not in CONSTRUCTIONS:
             raise ValueError(f"unknown construction {self.construction!r}")
@@ -195,7 +200,7 @@ class WindowConfig:
             if ks < 0:
                 raise ValueError("count must be nonnegative")
             return [range(self.o + j, self.o + j + ks * step, step) for j in range(1, self.d + 1)]
-        if min(ks := list(ks), default=1) < 1:
+        if min(ks := list(map(operator.index, ks)), default=1) < 1:
             raise ValueError("window indices start at 1")
         return [[(k - 1) * step + self.o + j for k in ks] for j in range(1, self.d + 1)]
 
@@ -285,7 +290,8 @@ def _samples_at(spec: GeneratorSpec, seed: RationalSeed, indices, multiplier=Non
     through each gap, multiplicative by base^gap mod q, koksma jumps the exact
     seed by t^gap (`fixed_point_power_stream`), and self_power reads a table
     of k^k mod q (`_self_powers`): one pow(k, k, q) per prime k, a few short
-    products per composite.  Weyl and linear families are direct.
+    products per composite.  Weyl and linear families are direct, the linear
+    coefficients as checked when the spec was built.
     """
     lo, hi = spec.seed_interval()
     q, p = seed.denominator, seed.numerator
@@ -303,11 +309,7 @@ def _samples_at(spec: GeneratorSpec, seed: RationalSeed, indices, multiplier=Non
     elif fam == "weyl_power":
         out = [pow(k, spec.power, q) * p % q for k in walk]
     elif fam == "linear_integer":
-        for k in walk:
-            c = _descriptor_at(spec.coefficients, k)
-            if c < 1:
-                raise ValueError(f"coefficient at index {k} must be positive, got {c}")
-            out.append(c % q * p % q)
+        out = [_descriptor_at(spec.coefficients, k) % q * p % q for k in walk]
     elif fam == "self_power":
         out = _self_powers(walk, q)
         for i, v in enumerate(out):
@@ -389,17 +391,12 @@ def residue_stream(
 def _indices_at(spec: GeneratorSpec, positions) -> list[int] | range:
     """Generator indices at 1-based output positions (permutation applied).
 
-    Without a permutation the indices are the positions (a range stays one).
+    Without a permutation the indices are the positions (a range stays one); the spec's
+    own check makes distinct positions read distinct positive indices.
     """
     if spec.permutation is None:
         return positions if isinstance(positions, range) else list(positions)
-    positions = list(positions)
-    indices = [_descriptor_at(spec.permutation, i) for i in positions]
-    if any(a < 1 for a in indices):
-        raise ValueError("permutation indices must be positive")
-    if len(set(indices)) != len(set(positions)):
-        raise ValueError("permutation indices must be pairwise distinct")
-    return indices
+    return [_descriptor_at(spec.permutation, i) for i in positions]
 
 
 def beta_stream(spec: GeneratorSpec, seed: RationalSeed, count: int) -> list[UnitSample]:

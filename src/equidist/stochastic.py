@@ -9,9 +9,9 @@ seed vanishes for every nonzero integer F.  That single fact powers the
 exact certificates here; everything else is estimated by averaging over a
 reproducible stream of sampled seeds and reported with a standard error.
 
-Every seed-averaged statistic runs on one engine (`_seed_rows`).  It
-rejects n_seeds < 2, the interleaved_a construction (which takes d seeds
-per point) and an m of another dimension than the windows, draws all seeds
+Every seed-averaged statistic runs on one engine (`_seed_rows`, whose parts
+`lemma3_check` calls itself).  It rejects n_seeds < 2, interleaved_a (which takes
+d seeds per point) and an m of another dimension than the windows, draws all seeds
 from the master rng up front and hands the seed list to a row builder, which
 returns one row per seed, in seed order: terms summed from phase words of the
 exact samples at the positions of `WindowConfig.positions` (no float crossing),
@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -83,8 +84,6 @@ def exact_frequency(spec: GeneratorSpec, k: int, l: int, m) -> int:
     """
     if not spec.exact:
         raise ValueError("exact frequencies exist for integer-linear families only")
-    if min(k, l) < 1:
-        raise ValueError("indices start at 1")
     m = as_multi_index(m)
     w = _window_sums(spec, WindowConfig(d=m.d), m, (k, l))
     return w[k] - w[l]
@@ -177,6 +176,7 @@ def _prefix_rows(spec, cfg, m, at, seeds) -> list:
     return rows
 
 
+@functools.lru_cache(maxsize=16)
 def _zero_frequency(spec: GeneratorSpec, m: MultiIndex) -> bool:
     """Whether the window sum w_k (`_window_sums`) is 0 for every window k, any h and o.
 
@@ -184,7 +184,7 @@ def _zero_frequency(spec: GeneratorSpec, m: MultiIndex) -> bool:
     (`WindowConfig.positions`).  A multiplicative sum is M^s times the one at
     s = 0, and a weyl_power p sum is a polynomial of degree <= p in s, so sums
     that vanish at s = 0 .. p (windows 1 .. p + 1 at h = 1, o = 0) vanish at
-    every s.  Other families, and any permuted stream, are not certified.
+    every s.  Other families, and any permuted stream, are not certified.  Memoized on (spec, m).
     """
     if spec.permutation is not None or spec.family not in ("multiplicative", "weyl_power"):
         return False
@@ -472,7 +472,7 @@ def lemma2_decay_fit(
     dropped; with fewer than two usable lags the fit is inconclusive.
     """
     m = as_multi_index(m)
-    lags = sorted(set(int(g) for g in lags))
+    lags = sorted(set(map(operator.index, lags)))
     if not lags or lags[0] < 1:
         raise ValueError("lags must be positive")
     if pair_sum is None:
@@ -561,8 +561,8 @@ def lemma3_check(
         mean = np.array([2.0 if w[k] == w[l] else 0.0 for k, l in pairs])
         stderr = np.zeros_like(mean)
     else:
-        rows = _seed_rows(_window_rows, spec, cfg, m, pairs, n_seeds, master_seed, bit_width)
-        mean, stderr = _mean_stderr(2.0 * rows.real)
+        seeds = _draw_seeds(spec.seed_interval(), n_seeds, master_seed, bit_width)
+        mean, stderr = _mean_stderr(2.0 * _window_rows(spec, cfg, m, pairs, seeds).real)
     abs_mean = np.abs(mean)
     worst = int(np.argmax(abs_mean))
     empirical_max = float(abs_mean[worst])

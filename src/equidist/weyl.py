@@ -78,7 +78,7 @@ class MultiIndex:
     components: tuple[int, ...]
 
     def __post_init__(self):
-        comps = tuple(int(c) for c in self.components)
+        comps = tuple(map(operator.index, self.components))
         object.__setattr__(self, "components", comps)
         if not comps:
             raise ValueError("multi-index needs at least one component")

@@ -454,3 +454,28 @@ class TestOrderAtMost:
         q = 2**61 - 1
         assert order_at_most(2, q, 10**6) == 61
         assert order_at_most(3, q, 10**6) is None
+
+
+# documented raises that no other test reaches: (call, exception type, reason)
+RAISES = {
+    "as-fraction-float": (lambda: arithmetic._as_fraction(1.5), TypeError,
+                          "exact rational bound, got float"),
+    "seed-empty-interval": (lambda: RationalSeed(1, 3, interval=(Fraction(1, 2), Fraction(1, 2))),
+                            IntervalWidthError, "empty interval"),
+    "seed-numerator": (lambda: RationalSeed(-1, 3, interval=(Fraction(-1), Fraction(1))),
+                       ValueError, "numerator must be positive"),
+    "sample-empty-interval": (lambda: SeedSampler(1, 16).sample((Fraction(2), Fraction(1))),
+                              IntervalWidthError, "empty interval"),
+    # only p = q lies strictly inside (1 - 2^-20, 1 + 2^-20) for an 8-bit q
+    "sample-no-coprime": (lambda: SeedSampler(1, 8).sample(
+        (1 - Fraction(1, 2**20), 1 + Fraction(1, 2**20))), IntervalWidthError, "coprime"),
+    "fixed-frac-bits": (lambda: FixedPointReal(1, -1), ValueError, "frac_bits must be nonnegative"),
+    "fixed-err-ulps": (lambda: FixedPointReal(1, 4, -1), ValueError, "err_ulps must be nonnegative"),
+    "pow-k-zero": (lambda: fixed_point_pow(Fraction(3, 2), 0), ValueError, "k must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("call, error, reason", RAISES.values(), ids=RAISES.keys())
+def test_documented_raises(call, error, reason):
+    with pytest.raises(error, match=reason):
+        call()

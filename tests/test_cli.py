@@ -5,11 +5,19 @@ import multiprocessing
 import subprocess
 import sys
 from dataclasses import fields
+from fractions import Fraction
 
 import pytest
 
-from equidist.cli import RunConfig, main, parse_args, run
-from equidist.stochastic import FarPairCheck, GammaStream, LagScan, default_bit_source
+from equidist.cli import FAMILY_ALIASES, RunConfig, main, parse_args, run
+from equidist.generators import ArithmeticIndices, GeneratorSpec, _scalars_at
+from equidist.stochastic import (
+    FarPairCheck,
+    GammaStream,
+    LagScan,
+    _draw_seeds,
+    default_bit_source,
+)
 
 
 def run_cfg(capsys, **kwargs):
@@ -294,7 +302,31 @@ class TestGamma:
         assert json.loads(path.read_text())["uniforms"] == [float(u) for u in want]
 
 
+# each family the CLI names, built directly from the parameters `generate` is given below
+DIRECT_SPECS = {
+    "weyl_power": GeneratorSpec.weyl(3),
+    "multiplicative": GeneratorSpec.multiplicative(5),
+    "factorial": GeneratorSpec.factorial(),
+    "self_power": GeneratorSpec.self_power(),
+    "linear_integer": GeneratorSpec.linear(ArithmeticIndices(4, 3)),
+    "koksma": GeneratorSpec.koksma(Fraction(5, 2)),
+}
+
+
 class TestReports:
+    @pytest.mark.parametrize("family", FAMILY_ALIASES)
+    def test_generate_reads_the_named_family(self, tmp_path, family):
+        kwargs = dict(power=3, base=5, coeff_start=4, coeff_stride=3, koksma_hi="5/2")
+        cfg = RunConfig(command="generate", family=family, n_max=40, master_rng_seed=7,
+                        seed_bits=64, output_path=str(tmp_path / "g.json"), **kwargs)
+        spec = DIRECT_SPECS[FAMILY_ALIASES[family]]
+        assert cfg.spec() == spec
+        assert run(cfg) == 0
+        report = json.loads((tmp_path / "g.json").read_text())
+        (seed,) = _draw_seeds(spec.seed_interval(), 1, 7, 64)
+        assert report["seed"] == str(seed)
+        assert report["values"] == _scalars_at(spec, seed, range(1, 41)).tolist()
+
     def test_output_dir_env_default(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("EQUIDIST_OUTPUT_DIR", str(tmp_path))
         code, _, _ = run_cfg(capsys, command="gamma", count=2, bits=4)

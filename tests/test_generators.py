@@ -476,3 +476,89 @@ class TestResidueStream:
         floats = stream_floats(stream)
         for s, f in zip(stream, floats):
             assert f == s.as_float() == float(s.value)
+
+
+NOT_AN_INT = "cannot be interpreted as an integer"
+
+# inputs rejected when a spec or window layout is built, or a window index is laid out:
+# (build, exception type, reason)
+REJECTED_WHEN_BUILT = {
+    "float-residues": (lambda: ArithmeticIndices(1.5, 1), TypeError, NOT_AN_INT),
+    "float-stride": (lambda: ArithmeticIndices(1, 2.0), TypeError, NOT_AN_INT),
+    "truncated-coefficients": (lambda: GeneratorSpec.linear([1.7, 2.2]), TypeError, NOT_AN_INT),
+    "float-power": (lambda: GeneratorSpec.weyl(2.0), TypeError, NOT_AN_INT),
+    "float-base": (lambda: GeneratorSpec.multiplicative(2.5), TypeError, NOT_AN_INT),
+    "float-permutation": (lambda: GeneratorSpec.factorial().permuted([2.0, 1]), TypeError,
+                          NOT_AN_INT),
+    "zero-coefficients": (lambda: GeneratorSpec.linear((0,) * 200), ValueError,
+                          "coefficients entries must be positive"),
+    "negative-coefficient": (lambda: GeneratorSpec("linear_integer", coefficients=(3, -1)),
+                             ValueError, "coefficients entries must be positive"),
+    # a read of the first three positions never meets the repeat
+    "permutation-repeat-beyond-prefix": (lambda: GeneratorSpec.factorial().permuted([3, 1, 2, 3]),
+                                         ValueError, "permutation entries must be positive, distinct"),
+    "permutation-zero": (lambda: GeneratorSpec.factorial().permuted([2, 0]), ValueError,
+                         "permutation entries must be positive"),
+    "float-window-d": (lambda: WindowConfig(d=1.5), TypeError, NOT_AN_INT),
+    "float-window-h": (lambda: WindowConfig(h=2.0), TypeError, NOT_AN_INT),
+    "float-window-o": (lambda: WindowConfig(o=0.5), TypeError, NOT_AN_INT),
+    "float-window-index": (lambda: WindowConfig(d=2).positions([1.5]), TypeError, NOT_AN_INT),
+}
+
+KOKSMA_SEED = RationalSeed(3, 2, interval=(Fraction(1), Fraction(2)))
+
+# documented raises that no other test reaches: (call, exception type, reason)
+RAISES = {
+    "arithmetic-start": (lambda: ArithmeticIndices(0, 1), ValueError,
+                         "start and stride must be positive"),
+    "descriptor-end": (lambda: residue_stream(GeneratorSpec.linear((1, 2, 3)), FIFTH, 4),
+                       StreamLengthError, "descriptor has 3 entries, index 4 requested"),
+    "unknown-family": (lambda: GeneratorSpec("fibonacci"), ValueError, "unknown family"),
+    "linear-descriptor": (lambda: GeneratorSpec("linear_integer"), ValueError,
+                          "needs a coefficient descriptor"),
+    "residue-alone": (lambda: UnitSample(k=1, residue=1), ValueError, "go together"),
+    "residue-count": (lambda: residue_stream(GeneratorSpec.factorial(), FIFTH, -1), ValueError,
+                      "count must be nonnegative"),
+    "residue-koksma": (lambda: residue_stream(GeneratorSpec.koksma(), KOKSMA_SEED, 3), ValueError,
+                       "no exact residue path"),
+    "beta-count": (lambda: beta_stream(GeneratorSpec.factorial(), FIFTH, -1), ValueError,
+                   "count must be nonnegative"),
+    "sliding-seed-list": (lambda: generators._read_windows(
+        _scalars_at, GeneratorSpec.factorial(), [FIFTH, THIRD], WindowConfig(d=2), 3),
+        ValueError, "sliding_bc takes a single seed"),
+    "windows-array-interleaved": (lambda: windows_array(
+        [0.5] * 4, WindowConfig(d=2, construction="interleaved_a")), ValueError,
+        "applies to the sliding_bc construction"),
+}
+
+
+class TestSpecCheckedWhenBuilt:
+    @pytest.mark.parametrize("build, error, reason", REJECTED_WHEN_BUILT.values(),
+                             ids=REJECTED_WHEN_BUILT.keys())
+    def test_rejected_when_built(self, build, error, reason):
+        with pytest.raises(error, match=reason):
+            build()
+
+    @pytest.mark.parametrize("call, error, reason", RAISES.values(), ids=RAISES.keys())
+    def test_documented_raises(self, call, error, reason):
+        with pytest.raises(error, match=reason):
+            call()
+
+    def test_every_spec_hashes(self):
+        pairs = [
+            (GeneratorSpec("koksma", interval=[Fraction(1), Fraction(5, 2)]),
+             GeneratorSpec.koksma(Fraction(5, 2))),
+            (GeneratorSpec("linear_integer", coefficients=[3, 5]), GeneratorSpec.linear((3, 5))),
+            (GeneratorSpec("factorial", permutation=np.array([2, 1])),
+             GeneratorSpec.factorial().permuted((2, 1))),
+        ]
+        for listed, built in pairs:
+            assert listed == built and hash(listed) == hash(built)
+
+    def test_numpy_integers_become_ints(self):
+        # a numpy power fails in pow(k, power, q); as an int the stream is the int spec's
+        spec = GeneratorSpec.weyl(np.int64(2))
+        assert type(spec.power) is int and spec == GeneratorSpec.weyl(2)
+        assert residue_stream(spec, FIFTH, 4) == residue_stream(GeneratorSpec.weyl(2), FIFTH, 4)
+        coefficients = GeneratorSpec.linear(np.array([3, 5])).coefficients
+        assert coefficients == (3, 5) and {type(c) for c in coefficients} == {int}

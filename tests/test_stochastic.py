@@ -75,8 +75,15 @@ class TestExactFrequency:
             exact_frequency(GeneratorSpec.koksma(), 2, 1, (1,))
 
     def test_index_validation(self):
-        with pytest.raises(ValueError):
+        # the window layout's own check (`WindowConfig.positions`)
+        with pytest.raises(ValueError, match="window indices start at 1"):
             exact_frequency(FACTORIAL, 1, 0, (1,))
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            exact_frequency(GeneratorSpec.weyl(1), 1.5, 1, (1,))
+
+    def test_numpy_base_does_not_wrap(self):
+        spec = GeneratorSpec.multiplicative(np.int64(3))
+        assert exact_frequency(spec, 50, 1, (1,)) == 3**50 - 3
 
     @given(
         st.integers(min_value=1, max_value=30),
@@ -449,6 +456,14 @@ class TestLemma3:
     def test_mc_needs_two_seeds(self):
         with pytest.raises(ValueError):
             lemma3_check(GeneratorSpec.koksma(), D1, (1,), 100, n_seeds=1)
+        # n_seeds is reported before n_pairs and n
+        with pytest.raises(ValueError, match="at least 2"):
+            lemma3_check(GeneratorSpec.koksma(), D1, (1,), 3, n_seeds=1, n_pairs=0)
+
+    def test_zero_coefficients_never_reach_the_certificate(self):
+        # the sample reader and the exact audit take the same specs
+        with pytest.raises(ValueError, match="coefficients entries must be positive"):
+            lemma3_check(GeneratorSpec.linear((0,) * 200), D1, (1,), 100)
 
     def test_exact_path_reads_shifted_windows(self):
         from equidist.stochastic import _window_sums
@@ -578,6 +593,20 @@ class TestZeroFrequency:
         for d in range(1, 6):
             for m in multi_indices(d, 3 if d <= 3 else 2):
                 assert stochastic._zero_frequency(spec, m) == _closed_form_zero(spec, m), m
+
+    def test_decided_once_per_spec_and_m(self, monkeypatch):
+        calls, window_sums = [], stochastic._window_sums
+
+        def counted(*args):
+            calls.append(args)
+            return window_sums(*args)
+
+        stochastic._zero_frequency.cache_clear()
+        monkeypatch.setattr(stochastic, "_window_sums", counted)
+        for _ in range(3):
+            wcud_check(GeneratorSpec.multiplicative(2), D2, (2, -1), 100, n_seeds=4)
+        assert len(calls) == 1
+        assert stochastic._zero_frequency.cache_info().maxsize is not None
 
 
 class TestZeroFrequencyRows:
@@ -893,3 +922,20 @@ class TestGammaStream:
             GammaStream(None, bits_per_uniform=0)
         with pytest.raises(ValueError):
             gamma_stream(_ListBits([]), -1, bits_per_uniform=1)
+
+
+# documented raises that no other test reaches: (call, exception type, reason)
+RAISES = {
+    "koksma-coefficients": (lambda: c_of_m_scan(GeneratorSpec.koksma(), (1,)), ValueError,
+                            "koksma has no integer coefficient sequence"),
+    "bit-source-interval": (lambda: SeedBitSource(RationalSeed(3, 2, interval=(1, 2))), ValueError,
+                            r"bit source needs a seed in \(0, 1\)"),
+    "float-lag": (lambda: lemma2_decay_fit(FACTORIAL, D1, (1,), [1.5, 2], n_seeds=8), TypeError,
+                  "cannot be interpreted as an integer"),
+}
+
+
+@pytest.mark.parametrize("call, error, reason", RAISES.values(), ids=RAISES.keys())
+def test_documented_raises(call, error, reason):
+    with pytest.raises(error, match=reason):
+        call()

@@ -719,3 +719,27 @@ class TestDegenerateCertificates:
         )
         series = scan.series[degenerate_m_multiplicative(3)]
         assert all(v == 1.0 for v in series.magnitudes)
+
+
+# documented raises, and the integers taken by `operator.index`: (call, exception type, reason)
+RAISES = {
+    "grid-n-max": (lambda: checkpoint_grid(0), ValueError, "n_max must be at least 1"),
+    "multi-index-empty": (lambda: MultiIndex(()), ValueError, "at least one component"),
+    "multi-index-float": (lambda: MultiIndex((1.5, 2)), TypeError, "float"),
+    "lattice": (lambda: multi_indices(0, 1), ValueError, "d and radius must be positive"),
+    "array-rank": (lambda: weyl_sum(np.zeros(4), (1,)), ValueError, r"expected a \(N, d\)"),
+    "array-width": (lambda: weyl_sum(np.zeros((4, 2)), (1,)), ValueError, r"expected a \(N, d\)"),
+    "point-width": (lambda: weyl_sum([(0.25, 0.5)], (1,)), ValueError,
+                    "point dimension does not match"),
+    "table-width": (lambda: weyl_sum(PhaseTable([np.zeros(3, np.uint64)] * 2), (1,)),
+                    ValueError, "does not match the table's dimension 2"),
+    "degenerate-weyl": (lambda: degenerate_m_weyl(0), ValueError, "p must be at least 1"),
+    "degenerate-multiplicative": (lambda: degenerate_m_multiplicative(1), ValueError,
+                                  "base must be at least 2"),
+}
+
+
+@pytest.mark.parametrize("call, error, reason", RAISES.values(), ids=RAISES.keys())
+def test_documented_raises(call, error, reason):
+    with pytest.raises(error, match=reason):
+        call()
