@@ -1,10 +1,10 @@
 """Batch command-line front end.
 
-Exit codes are the scripting contract: 0 means the requested check passed
-(or the command is purely generative), 2 means a refutation verdict was
-reached, and 1 means the run failed before producing a verdict.  Reports
-embed the resolved config, the tool version, and the checkpoint grid, and
-identical config plus master rng seed produces a byte-identical JSON
+Exit codes are the scripting contract: 0 means no refutation was reached (a
+passed or inconclusive check, or a generative command), 2 means a refutation
+verdict was reached, and 1 means the run failed before producing a verdict.
+Reports embed the resolved config, the tool version, and the checkpoint grid,
+and identical config plus master rng seed produces a byte-identical JSON
 report.  Every run is serial in one process; `--workers`, like `--H`, is
 recorded in the report config and never read.
 """

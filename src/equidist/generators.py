@@ -47,6 +47,7 @@ import numpy as np
 from .arithmetic import (
     POWER_STREAM_FRAC_BITS,
     RationalSeed,
+    _as_fraction,
     fixed_point_power_stream,
     FixedPointReal,
 )
@@ -98,8 +99,9 @@ class GeneratorSpec:
     """One sequence family with its parameters and an optional reindexing.
 
     `permutation` rewires the output stream to beta_{a_1}, beta_{a_2}, ...; built once,
-    a spec is checked once: integers by `operator.index`, listed entries positive and a
-    permutation's pairwise distinct over the whole tuple, and every spec hashes.
+    a spec is checked once: integers by `operator.index`, interval bounds as exact
+    rationals, listed entries positive and a permutation's pairwise distinct over the
+    whole tuple, and every spec hashes.
     """
 
     family: str
@@ -112,9 +114,13 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        for name, normal in (("power", operator.index), ("base", operator.index), ("interval", tuple)):
+        for name in ("power", "base"):
             if (value := getattr(self, name)) is not None:  # Python ints: numpy ones wrap
-                object.__setattr__(self, name, normal(value))
+                object.__setattr__(self, name, operator.index(value))
+        if (iv := self.interval) is not None:  # exact bounds: a float raises TypeError
+            object.__setattr__(self, "interval", iv := tuple(map(_as_fraction, iv)))
+            if len(iv) != 2:
+                raise ValueError(f"interval takes two bounds, got {len(iv)}")
         for name, rule in (("coefficients", "positive"), ("permutation", "positive, distinct")):
             if (desc := getattr(self, name)) is not None and not isinstance(desc, ArithmeticIndices):
                 object.__setattr__(self, name, desc := tuple(map(operator.index, desc)))
@@ -126,10 +132,8 @@ class GeneratorSpec:
             raise ValueError("multiplicative needs an integer base >= 2")
         if self.family == "linear_integer" and self.coefficients is None:
             raise ValueError("linear_integer needs a coefficient descriptor")
-        if self.family == "koksma":
-            iv = self.interval
-            if iv is None or not Fraction(1) <= iv[0] or iv[0] >= iv[1]:
-                raise ValueError("koksma needs an interval (1, a) with a > 1")
+        if self.family == "koksma" and (iv is None or not 1 <= iv[0] < iv[1]):
+            raise ValueError("koksma needs an interval (1, a) with a > 1")
 
     # -- constructors ----------------------------------------------------
 

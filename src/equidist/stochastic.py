@@ -9,18 +9,16 @@ seed vanishes for every nonzero integer F.  That single fact powers the
 exact certificates here; everything else is estimated by averaging over a
 reproducible stream of sampled seeds and reported with a standard error.
 
-Every seed-averaged statistic runs on one engine (`_seed_rows`, whose parts
-`lemma3_check` calls itself).  It rejects n_seeds < 2, interleaved_a (which takes
-d seeds per point) and an m of another dimension than the windows, draws all seeds
-from the master rng up front and hands the seed list to a row builder, which
-returns one row per seed, in seed order: terms summed from phase words of the
-exact samples at the positions of `WindowConfig.positions` (no float crossing),
-in one kernel pass over all seeds for a few windows (`_window_rows`) and one
-pass per seed for |S_n| (`_prefix_rows`).  Each estimate is then the column
-mean of the rows with standard error std(ddof=1) / sqrt(n_seeds) (`_mean_stderr`).
-One input needs no seed: when the exact window sums w_k (`_window_sums`) are
-zero for every window (`_zero_frequency`), every Y_k is 1 for every seed, so the
-|S_n| rows are exactly n and the engine returns them without drawing.
+Every seed-averaged statistic reads one (seed, column) table, in seed draw order,
+from one source (`_seed_table`): Y_k for a column (k,) and Y_k conj(Y_l) for a
+column (k, l), in one kernel pass over all seeds (`_window_rows`), or |S_n| at the
+indices n - 1 of an int array, one pass per seed (`_prefix_rows`).  Terms are summed
+from phase words of the exact samples at the positions of `WindowConfig.positions`,
+with no float crossing.  The source rejects n_seeds < 2, interleaved_a (d seeds per
+point) and an m of another dimension than the windows, and draws all seeds up front.
+Each estimate is a column mean with standard error std(ddof=1) / sqrt(n_seeds)
+(`_mean_stderr`).  When the exact window sums w_k (`_window_sums`) vanish for every
+window (`_zero_frequency`), every Y_k is 1, so |S_n| = n and no seed is drawn.
 """
 
 from __future__ import annotations
@@ -166,13 +164,13 @@ def _window_rows(spec, cfg, m, columns, seeds) -> np.ndarray:
     return np.where([len(c) == 2 for c in columns], pair, a)
 
 
-def _prefix_rows(spec, cfg, m, at, seeds) -> list:
+def _prefix_rows(spec, cfg, m, at, seeds) -> np.ndarray:
     """Each seed's |S_n| at the increasing n whose indices n - 1 the int array `at` holds,
     one kernel pass per seed: a pass already spans n terms."""
-    rows = []
-    for seed in seeds:
+    rows = np.empty((len(seeds), len(at)))
+    for row, seed in zip(rows, seeds):
         table = PhaseTable(_read_windows(_words_at, spec, seed, cfg, int(at[-1]) + 1))
-        rows.append(np.abs(np.cumsum(unit_terms(table, m))[at]))
+        np.abs(np.cumsum(unit_terms(table, m))[at], out=row)
     return rows
 
 
@@ -215,23 +213,20 @@ def _draw_seeds(interval, n_seeds: int, master_seed: int, bit_width: int) -> tup
     return tuple(sampler.sample(interval) for _ in range(n_seeds))
 
 
-def _seed_rows(rows, spec, cfg, m, arg, n_seeds, master_seed, bit_width):
-    """rows(spec, cfg, m, arg, seeds) for the drawn seeds: one row per seed, in seed order.
+def _seed_table(spec, cfg, m, columns, n_seeds, master_seed, bit_width) -> np.ndarray:
+    """The table of `columns` over the drawn seeds: a list of (k,) and (k, l) columns
+    (`_window_rows`), or an int array of indices n - 1 for |S_n| (`_prefix_rows`).
 
-    |S_n| rows (`_prefix_rows`) of a zero-frequency m (`_zero_frequency`)
-    are exact: every phase word sum lies within ||m||_1 units of a multiple
-    of 2^64, so each term has real part exactly 1.0 and every seed's row is
-    the float n itself.  They are returned as n_seeds references to that one read-only
-    row, with no seed drawn; n_seeds, master_seed and bit_width are checked
-    as a draw would check them (`_require_inputs`).
+    |S_n| of a zero-frequency m is exact: every phase word sum lies within ||m||_1
+    units of a multiple of 2^64, so each term has real part exactly 1.0 and every
+    row is the float n itself, a read-only broadcast of one row with no seed drawn.
     """
     _require_inputs(cfg, m, n_seeds, master_seed, bit_width)
-    if rows is _prefix_rows and _zero_frequency(spec, m):
-        exact = arg + 1.0
-        exact.flags.writeable = False
-        return [exact] * n_seeds
+    prefix = isinstance(columns, np.ndarray)
+    if prefix and _zero_frequency(spec, m):
+        return np.broadcast_to(columns + 1.0, (n_seeds, len(columns)))
     seeds = _draw_seeds(spec.seed_interval(), n_seeds, master_seed, bit_width)
-    return rows(spec, cfg, m, arg, seeds)
+    return (_prefix_rows if prefix else _window_rows)(spec, cfg, m, columns, seeds)
 
 
 def _mean_stderr(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -294,12 +289,12 @@ def mc_moment(
     """
     m = as_multi_index(m)
     if target.kind == "term_mean":
-        rows, arg = _window_rows, [(target.k,)]
+        columns = [(target.k,)]
     elif target.kind == "pair_moment":
-        rows, arg = _window_rows, [(target.k, target.l)]
+        columns = [(target.k, target.l)]
     else:
-        rows, arg = _prefix_rows, np.array([target.n - 1])
-    table = np.vstack(_seed_rows(rows, spec, cfg, m, arg, n_seeds, master_seed, bit_width))
+        columns = np.array([target.n - 1])
+    table = _seed_table(spec, cfg, m, columns, n_seeds, master_seed, bit_width)
     if target.kind == "abs_sum_sq_mean":
         table = table**2
     mean, stderr = _mean_stderr(table)
@@ -350,10 +345,10 @@ def del_criterion(
     if len(cps) < 2:
         raise ValueError(f"n_max={n_max} gives one checkpoint; del_criterion needs two")
     at_cps = np.array(cps) - 1
-    rows = _seed_rows(_prefix_rows, spec, cfg, m, np.arange(n_max), n_seeds, master_seed, bit_width)
-    # E|S_n|^2 for n = 1..n_max, row by row: stacking would copy every row
+    table = _seed_table(spec, cfg, m, np.arange(n_max), n_seeds, master_seed, bit_width)
+    # E|S_n|^2 for n = 1..n_max, row by row: squaring the table would copy it
     est_sq = np.zeros(n_max)
-    for row in rows:
+    for row in table:
         est_sq += row**2
     est_sq /= n_seeds
     n0 = cps[0]
@@ -371,7 +366,8 @@ def del_criterion(
     else:
         verdict = "inconclusive"
     cp_arr = np.array(cps, dtype=float)
-    mean_abs, stderr = _mean_stderr(np.vstack([row[at_cps] for row in rows]))
+    # C order: a fancy index is F-ordered, and F-ordered column means differ in the last bit
+    mean_abs, stderr = _mean_stderr(np.ascontiguousarray(table[:, at_cps]))
     slope, _ = np.polyfit(np.log(cp_arr), np.log(est_sq[at_cps] / cp_arr**2), 1)
     return SllnDiagnostics(
         checkpoints=tuple(cps),
@@ -413,9 +409,8 @@ def wcud_check(
         cps = checkpoint_grid(checkpoints)
     else:
         cps = _checkpoints(checkpoints)
-    at = np.array(cps) - 1
-    rows = _seed_rows(_prefix_rows, spec, cfg, m, at, n_seeds, master_seed, bit_width)
-    mean, stderr = _mean_stderr(np.vstack(rows) / np.array(cps, dtype=float))
+    table = _seed_table(spec, cfg, m, np.array(cps) - 1, n_seeds, master_seed, bit_width)
+    mean, stderr = _mean_stderr(table / np.array(cps, dtype=float))
     decreasing = all(
         mean[i + 1] <= mean[i] + 3.0 * (stderr[i] + stderr[i + 1])
         for i in range(len(cps) - 1)
@@ -483,9 +478,9 @@ def lemma2_decay_fit(
         pairs.append((k, k - g))
     if any(l < 1 for _, l in pairs):
         raise ValueError(f"pair_sum {pair_sum} too small for the largest lag")
-    rows = _seed_rows(_window_rows, spec, cfg, m, pairs, n_seeds, master_seed, bit_width)
+    table = _seed_table(spec, cfg, m, pairs, n_seeds, master_seed, bit_width)
     # symmetrized: Y_k conj(Y_l) + its conjugate
-    mean, stderr = _mean_stderr(2.0 * rows.real)
+    mean, stderr = _mean_stderr(2.0 * table.real)
     usable = [i for i in range(len(lags)) if abs(mean[i]) > 3.0 * stderr[i]]
     result = dict(
         lags=tuple(lags),
@@ -561,8 +556,8 @@ def lemma3_check(
         mean = np.array([2.0 if w[k] == w[l] else 0.0 for k, l in pairs])
         stderr = np.zeros_like(mean)
     else:
-        seeds = _draw_seeds(spec.seed_interval(), n_seeds, master_seed, bit_width)
-        mean, stderr = _mean_stderr(2.0 * _window_rows(spec, cfg, m, pairs, seeds).real)
+        table = _seed_table(spec, cfg, m, pairs, n_seeds, master_seed, bit_width)
+        mean, stderr = _mean_stderr(2.0 * table.real)
     abs_mean = np.abs(mean)
     worst = int(np.argmax(abs_mean))
     empirical_max = float(abs_mean[worst])

@@ -503,6 +503,10 @@ REJECTED_WHEN_BUILT = {
     "float-window-h": (lambda: WindowConfig(h=2.0), TypeError, NOT_AN_INT),
     "float-window-o": (lambda: WindowConfig(o=0.5), TypeError, NOT_AN_INT),
     "float-window-index": (lambda: WindowConfig(d=2).positions([1.5]), TypeError, NOT_AN_INT),
+    "float-interval": (lambda: GeneratorSpec("koksma", interval=(1.0, 2.5)), TypeError,
+                       "expected exact rational bound, got float"),
+    "one-bound-interval": (lambda: GeneratorSpec("koksma", interval=(1,)), ValueError,
+                           "interval takes two bounds, got 1"),
 }
 
 KOKSMA_SEED = RationalSeed(3, 2, interval=(Fraction(1), Fraction(2)))

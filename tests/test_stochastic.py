@@ -277,6 +277,12 @@ class TestMcMoment:
         est = mc_moment(FACTORIAL, D1, (1,), target, n_seeds=48, master_seed=1)
         assert 0.6 <= est.value / 1024 <= 1.6
 
+    def test_kind_decides_the_column(self):
+        # a term_mean target with an l set is still E Y_k
+        kw = dict(n_seeds=4, master_seed=2, bit_width=64)
+        est = mc_moment(FACTORIAL, D1, (1,), MomentTarget("term_mean", k=5, l=3), **kw)
+        assert est.value == mc_moment(FACTORIAL, D1, (1,), MomentTarget("term_mean", k=5), **kw).value
+
     def test_needs_two_seeds(self):
         with pytest.raises(ValueError):
             mc_moment(FACTORIAL, D1, (1,), MomentTarget("term_mean", k=1), n_seeds=1)
@@ -627,6 +633,17 @@ class TestZeroFrequencyRows:
             assert row.tobytes() == (at + 1.0).tobytes()
 
     @pytest.mark.parametrize("spec, m", ZERO_FREQUENCY, ids=ZERO_IDS)
+    def test_exact_table_draws_no_seed(self, spec, m, monkeypatch):
+        _refuse_draws(monkeypatch)
+        cfg, at = WindowConfig(d=len(m), h=2, o=1), np.array([0, 1, 6, 63, 499])
+        table = stochastic._seed_table(spec, cfg, MultiIndex(m), at, 5, 3, 64)
+        assert table.shape == (5, len(at))
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+        for row in table:
+            assert row.tobytes() == (at + 1.0).tobytes()
+
+    @pytest.mark.parametrize("spec, m", ZERO_FREQUENCY, ids=ZERO_IDS)
     def test_statistics_draw_no_seed(self, spec, m, monkeypatch):
         _refuse_draws(monkeypatch)
         cfg = WindowConfig(d=len(m), h=2, o=1)
@@ -774,6 +791,12 @@ def _one_seed_row(spec, cfg, m, columns, seed) -> np.ndarray:
     )
 
 
+def _one_seed_sums(spec, cfg, m, at, seed) -> np.ndarray:
+    # |S_n| at the indices n - 1 in `at`, from one kernel pass over one seed's stream
+    table = PhaseTable(generators._read_windows(_words_at, spec, seed, cfg, int(at[-1]) + 1))
+    return np.abs(np.cumsum(unit_terms(table, m)))[at]
+
+
 class TestBatchedWindowRows:
     COLUMNS = [(17, 5), (9,), (5, 17), (9,), (30, 2), (5, 5), (1,), (17, 5)]
 
@@ -809,14 +832,36 @@ class TestBatchedWindowRows:
         assert got.tobytes() == want.tobytes()
 
     def test_statistics_read_the_one_seed_rows(self):
-        # lemma2's symmetrized means and stderrs over the same rows, stacked by hand
-        cfg, m = WindowConfig(d=1), MultiIndex((1,))
-        fit = lemma2_decay_fit(KOKSMA, cfg, m, [1, 2, 5], n_seeds=9, master_seed=4, bit_width=64)
+        # each statistic's means and stderrs over the same rows, stacked by hand in C order
+        cfg, m, kw = WindowConfig(d=1), MultiIndex((1,)), dict(n_seeds=9, master_seed=4, bit_width=64)
         seeds = stochastic._draw_seeds(KOKSMA.seed_interval(), 9, 4, 64)
-        rows = np.vstack([_one_seed_row(KOKSMA, cfg, m, list(fit.pairs), s) for s in seeds])
-        mean, stderr = stochastic._mean_stderr(2.0 * rows.real)
-        assert fit.estimates == tuple(mean.tolist())
-        assert fit.stderrs == tuple(stderr.tolist())
+
+        def pair_stats(pairs):
+            rows = np.vstack([_one_seed_row(KOKSMA, cfg, m, list(pairs), s) for s in seeds])
+            return stochastic._mean_stderr(2.0 * rows.real)
+
+        def sum_rows(ns):
+            at = np.array(ns) - 1
+            return np.vstack([_one_seed_sums(KOKSMA, cfg, m, at, s) for s in seeds])
+
+        fit = lemma2_decay_fit(KOKSMA, cfg, m, [1, 2, 5], **kw)
+        far = lemma3_check(KOKSMA, cfg, m, 100, n_pairs=16, **kw)
+        for result, (mean, stderr) in ((fit, pair_stats(fit.pairs)), (far, pair_stats(far.pairs))):
+            assert np.array(result.estimates).tobytes() == mean.tobytes()
+            assert np.array(result.stderrs).tobytes() == stderr.tobytes()
+        diag = del_criterion(KOKSMA, cfg, m, 300, **kw)
+        cps = np.array(diag.checkpoints, dtype=float)
+        mean, stderr = stochastic._mean_stderr(sum_rows(diag.checkpoints))
+        assert np.array(diag.s_over_n).tobytes() == (mean / cps).tobytes()
+        assert np.array(diag.s_over_n_stderr).tobytes() == (stderr / cps).tobytes()
+        ns = [10, 50, 300]
+        wcud = wcud_check(KOKSMA, cfg, m, ns, **kw)
+        mean, stderr = stochastic._mean_stderr(sum_rows(ns) / np.array(ns, dtype=float))
+        assert np.array(wcud.s_over_n).tobytes() == mean.tobytes()
+        assert np.array(wcud.s_over_n_stderr).tobytes() == stderr.tobytes()
+        est = mc_moment(KOKSMA, cfg, m, MomentTarget("abs_sum_sq_mean", n=77), **kw)
+        mean, stderr = stochastic._mean_stderr(sum_rows([77]) ** 2)
+        assert np.array([est.value, est.stderr]).tobytes() == np.array([mean[0], stderr[0]]).tobytes()
 
 
 class TestBitSources:
