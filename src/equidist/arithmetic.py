@@ -32,7 +32,7 @@ proved prime is remembered, so the seed built from it is not proved again.
 
 Power sequences t^k get a fixed-point carrier (`FixedPointReal`) whose error
 in ulps is propagated, never reset.  The koksma stream jumps the exact seed
-by p^g / q^g between indices read and settles any sample frac leaves ambiguous.
+by p^g / q^g between indices read and settles any sample near an integer exactly.
 """
 
 from __future__ import annotations
@@ -160,6 +160,15 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected exact rational bound, got {type(x).__name__}")
 
 
+def _as_interval(interval) -> tuple[Fraction, Fraction]:
+    """An open interval (lo, hi): exactly two exact bounds, lo < hi."""
+    if len(bounds := tuple(map(_as_fraction, interval))) != 2:
+        raise ValueError(f"interval takes two bounds, got {len(bounds)}")
+    if bounds[0] >= bounds[1]:
+        raise IntervalWidthError("empty interval ({}, {})".format(*bounds))
+    return bounds
+
+
 @dataclass(frozen=True)
 class RationalSeed:
     """Exact seed p/q inside an open interval, default (0, 1).
@@ -176,10 +185,8 @@ class RationalSeed:
     prime_denominator: bool = True
 
     def __post_init__(self):
-        lo, hi = (_as_fraction(self.interval[0]), _as_fraction(self.interval[1]))
+        lo, hi = _as_interval(self.interval)
         object.__setattr__(self, "interval", (lo, hi))
-        if lo >= hi:
-            raise IntervalWidthError(f"empty interval ({lo}, {hi})")
         if self.denominator < 2:
             raise ValueError("denominator must be at least 2")
         if self.numerator < 1:
@@ -226,9 +233,7 @@ class SeedSampler:
                 return cand
 
     def sample(self, interval=(Fraction(0), Fraction(1))) -> RationalSeed:
-        lo, hi = _as_fraction(interval[0]), _as_fraction(interval[1])
-        if lo >= hi:
-            raise IntervalWidthError(f"empty interval ({lo}, {hi})")
+        lo, hi = _as_interval(interval)
         q = self._random_prime()
         # Strict interior: lo < p/q < hi.
         p_min = lo.numerator * q // lo.denominator + 1
@@ -314,14 +319,9 @@ class FixedPointReal:
         return FixedPointReal(m, frac_bits, err)
 
     def frac(self) -> "FixedPointReal":
-        """Fractional part of the represented value.
-
-        The error bound survives unchanged except in the wrap case: when the
-        true value sits within err_ulps of an integer the true and
-        represented fractional parts can land on opposite sides of it.
-        Callers needing certainty must check err_ulps against the distance
-        to the nearest integer boundary, as `fixed_point_power_stream` does.
-        """
+        """Fractional part of the represented value, its error bound kept mod 1 only:
+        within err_ulps of an integer the true and represented fractional parts can
+        land on opposite sides of it (`fixed_point_power_stream` settles those)."""
         return FixedPointReal(
             self.mantissa % (1 << self.frac_bits), self.frac_bits, self.err_ulps
         )
@@ -365,10 +365,11 @@ def fixed_point_power_stream(t: Fraction, indices, hi: Fraction):
     m ~ t^k 2^W starts exact at 2^W (k = 0), and a gap g is one step
     m' = round(m p^g / q^g), p^g and q^g reused while g repeats.  As m t^g -
     t^(k+g) 2^W = (m - t^k 2^W) t^g, the bound err on |m - t^k 2^W| steps to
-    ceil(err p^g / q^g) + [inexact] < err t^g + 2: err < 2k t^k < 2^(W-64),
-    and each sample FixedPointReal(m, W, err).frac().rescale(
-    POWER_STREAM_FRAC_BITS) carries 1-2 ulps, unless m mod 2^W lies within
-    err of an integer: then it is settled exactly from (p^k mod q^k) / q^k.
+    ceil(err p^g / q^g) + [inexact] < err t^g + 2: err < 2k t^k < 2^(W-64), and a
+    sample, FixedPointReal(m mod 2^W, W, err) rounded to 64 bits, carries 1-2 ulps,
+    unless m mod 2^W lies within err of an integer: then it is settled exactly from
+    (p^k mod q^k) / q^k.  Either rounding may reach 2^64, yielded as 2^64 - 1 with one
+    ulp more: every mantissa is below 2^64, within err_ulps of frac(t^k) 2^64 as integers.
     A step costs O(W), the ~2W-bit m times a g-word power, not a W x W
     multiply per index up to K.  m and the settle still grow with K log2 hi,
     so the caps on K (DEFAULT_MAX_POWER_STEPS) and W (DEFAULT_MAX_WORK_BITS) stay.
@@ -398,8 +399,11 @@ def fixed_point_power_stream(t: Fraction, indices, hi: Fraction):
         m, inexact = _round_div(m * p_gap, q_gap)
         err = -(-err * p_gap // q_gap) + inexact
         if err < (wrapped := m & (one - 1)) < one - err:
-            yield FixedPointReal(wrapped, work, err).rescale(POWER_STREAM_FRAC_BITS)
+            s = FixedPointReal(wrapped, work, err).rescale(POWER_STREAM_FRAC_BITS)
         else:  # frac(t^k) within err of an integer: settle it exactly
             q_k = q**target
             exact, inexact = _round_div((p**target % q_k) << POWER_STREAM_FRAC_BITS, q_k)
-            yield FixedPointReal(exact, POWER_STREAM_FRAC_BITS, int(inexact))
+            s = FixedPointReal(exact, POWER_STREAM_FRAC_BITS, int(inexact))
+        if s.mantissa == 1 << POWER_STREAM_FRAC_BITS:  # rounded up to 1: clamp below it
+            s = FixedPointReal(s.mantissa - 1, POWER_STREAM_FRAC_BITS, s.err_ulps + 1)
+        yield s

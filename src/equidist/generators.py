@@ -13,18 +13,18 @@ in the caller's order, exact residues for the integer families and
 `FixedPointReal` values of frac(t^k) for koksma.  `residue_stream`,
 `beta_stream` and the float crossing `_scalars_at` are views over it.
 
-Every sample is a ratio of integers (`UnitSample.ratio`, `_ratios_at`):
-residue / q, or koksma's mantissa / 2^64 after `frac` wraps a rescale that
-rounded up to 1.  Weyl phases, in `criterion_scan` and the Monte-Carlo
+Every sample is a ratio of integers in [0, 1) (`UnitSample.ratio`, `_ratios_at`):
+residue / q, or koksma's mantissa / 2^64, which the power stream keeps below
+2^64 by construction.  Weyl phases, in `criterion_scan` and the Monte-Carlo
 engine alike, are the words w = floor(2^64 r / q) of the ratios, defined in
 integers by `weyl._unit_words`, the tests' oracle.  `weyl._words_at` builds
 them without a division.  For an odd q, r 2^64 = w q + R with 0 <= R < q, so
 w = -R q^-1 mod 2^64 exactly (w < 2^64); every exact family is linear in p,
 so the walk run with the multiplier p' = 2^64 p mod q (`_samples_at`'s
-`multiplier`) gives each R.  koksma's mantissas over 2^64 are their words,
-and an even q, only in a hand-built seed, takes `_unit_words`.  Floats come
-only from `unit_float`, one correct rounding clamped below 1, so a mantissa
-of 2^64 - 1 is 1 - 2^-53, not 1.0.
+`multiplier`) gives each R.  koksma's ratios over 2^64 and an even q, only in
+a hand-built seed, take `_unit_words`.  Floats come only from `unit_float`,
+one correct rounding clamped below 1, so a mantissa of 2^64 - 1 is
+1 - 2^-53, not 1.0.
 
 Multidimensional points come from two constructions over scalar streams,
 interleaved blocks over d independent seeds or windows over one stream
@@ -47,7 +47,7 @@ import numpy as np
 from .arithmetic import (
     POWER_STREAM_FRAC_BITS,
     RationalSeed,
-    _as_fraction,
+    _as_interval,
     fixed_point_power_stream,
     FixedPointReal,
 )
@@ -99,9 +99,9 @@ class GeneratorSpec:
     """One sequence family with its parameters and an optional reindexing.
 
     `permutation` rewires the output stream to beta_{a_1}, beta_{a_2}, ...; built once,
-    a spec is checked once: integers by `operator.index`, interval bounds as exact
-    rationals, listed entries positive and a permutation's pairwise distinct over the
-    whole tuple, and every spec hashes.
+    a spec is checked once: integers by `operator.index`, an interval as two exact
+    rationals lo < hi, listed entries positive and a permutation's pairwise distinct
+    over the whole tuple, and every spec hashes.
     """
 
     family: str
@@ -118,9 +118,7 @@ class GeneratorSpec:
             if (value := getattr(self, name)) is not None:  # Python ints: numpy ones wrap
                 object.__setattr__(self, name, operator.index(value))
         if (iv := self.interval) is not None:  # exact bounds: a float raises TypeError
-            object.__setattr__(self, "interval", iv := tuple(map(_as_fraction, iv)))
-            if len(iv) != 2:
-                raise ValueError(f"interval takes two bounds, got {len(iv)}")
+            object.__setattr__(self, "interval", iv := _as_interval(iv))
         for name, rule in (("coefficients", "positive"), ("permutation", "positive, distinct")):
             if (desc := getattr(self, name)) is not None and not isinstance(desc, ArithmeticIndices):
                 object.__setattr__(self, name, desc := tuple(map(operator.index, desc)))
@@ -132,7 +130,7 @@ class GeneratorSpec:
             raise ValueError("multiplicative needs an integer base >= 2")
         if self.family == "linear_integer" and self.coefficients is None:
             raise ValueError("linear_integer needs a coefficient descriptor")
-        if self.family == "koksma" and (iv is None or not 1 <= iv[0] < iv[1]):
+        if self.family == "koksma" and (iv is None or iv[0] < 1):
             raise ValueError("koksma needs an interval (1, a) with a > 1")
 
     # -- constructors ----------------------------------------------------
@@ -237,6 +235,8 @@ class UnitSample:
                 raise ValueError("residue and denominator go together")
             if not 0 <= self.residue < self.denominator:
                 raise ValueError("residue out of range")
+        elif not 0 <= self.fixed.mantissa < 1 << self.fixed.frac_bits:  # `ratio` is in [0, 1)
+            raise ValueError("fixed-point sample outside [0, 1)")
 
     @property
     def exact(self) -> bool:
@@ -245,10 +245,10 @@ class UnitSample:
     @property
     def ratio(self) -> tuple[int, int]:
         """The sample as (numerator, denominator): (residue, q) or koksma's
-        (frac mantissa, 2^frac_bits)."""
+        (mantissa, 2^frac_bits)."""
         if self.exact:
             return self.residue, self.denominator
-        return _frac_ratio(self.fixed)
+        return self.fixed.mantissa, 1 << self.fixed.frac_bits
 
     @property
     def value(self) -> Fraction:
@@ -256,11 +256,6 @@ class UnitSample:
 
     def as_float(self) -> float:
         return unit_float(*self.ratio)
-
-
-def _frac_ratio(x: FixedPointReal) -> tuple[int, int]:
-    f = x.frac()
-    return f.mantissa, 1 << f.frac_bits
 
 
 def unit_float(numerator: int, denominator: int) -> float:
@@ -285,8 +280,8 @@ def _samples_at(spec: GeneratorSpec, seed: RationalSeed, indices, multiplier=Non
 
     Indices k >= 1 may repeat and come in any order.  Integer-coefficient
     families give exact residues c_k * p mod q (beta_k = residue / q); koksma
-    gives frac(t^k) as a `FixedPointReal` of POWER_STREAM_FRAC_BITS bits,
-    read as a ratio through `_frac_ratio`.  An integer family walks c_k * a mod q
+    gives frac(t^k) as a `FixedPointReal` of POWER_STREAM_FRAC_BITS bits, its
+    mantissa below 2^64 the numerator over 2^64.  An integer family walks c_k * a mod q
     with a = `multiplier` in place of p when one is given (0 <= a < q); the seed
     p / q is still the one checked against the family interval.
 
@@ -382,14 +377,14 @@ def residue_stream(
 ) -> tuple[list[int], int]:
     """Exact residues of the first `count` outputs plus the denominator.
 
-    The residues are `_samples_at` the stream's generator indices, so a
-    permutation wrapper evaluates the inner family at the rewired indices.
+    The residues are `_ratios_at` the stream's positions, so a permutation
+    wrapper evaluates the inner family at the rewired indices.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     if not spec.exact:
         raise ValueError("koksma has no exact residue path; use beta_stream")
-    return _samples_at(spec, seed, _indices_at(spec, range(1, count + 1))), seed.denominator
+    return _ratios_at(spec, seed, range(1, count + 1))
 
 
 def _indices_at(spec: GeneratorSpec, positions) -> list[int] | range:
@@ -488,7 +483,7 @@ def _ratios_at(spec: GeneratorSpec, seed: RationalSeed, positions) -> tuple[list
     samples = _samples_at(spec, seed, _indices_at(spec, positions))
     if spec.exact:
         return samples, seed.denominator
-    return [_frac_ratio(s)[0] for s in samples], 1 << POWER_STREAM_FRAC_BITS
+    return [s.mantissa for s in samples], 1 << POWER_STREAM_FRAC_BITS
 
 
 def _scalars_at(spec: GeneratorSpec, seed: RationalSeed, positions) -> np.ndarray:

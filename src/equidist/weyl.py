@@ -15,7 +15,7 @@ w = floor(2^64 r / q) for r / q in [0, 1), and is the tests' oracle for the fast
 path `_words_at` takes for the samples of a seed with an odd q: there
 r 2^64 = w q + R with 0 <= R < q, so w q = -R (mod 2^64) and w = -R q^-1 mod 2^64,
 exactly, as 0 <= w < 2^64; the walk gives R directly with the multiplier 2^64 p mod q.
-koksma's mantissas over 2^64 are their own words.  The phase of m . x_k,
+koksma's mantissas n < 2^64 over 2^64 are their own words.  The phase of m . x_k,
 the wraparound sum of m_j times the words, is thus within ||m||_1 units of the exact
 one, in [-sum_{m_j > 0} m_j, sum_{m_j < 0} |m_j|]: an identity M x_k = x_{k+1} gives
 phases within M units of 0, e() with a real part of exactly 1.0, and |W_N| = 1.
@@ -222,8 +222,8 @@ def _term_chunks(columns: list, n: int):
 
 def _unit_words(nums, dens) -> np.ndarray:
     """The phase words floor(2^64 frac(n / q)) of the ratios n / q, n any integer: the
-    definition, read by `_phase_columns` (mixed denominators) and by `_words_at` for an
-    even q but 2^64; `_words_at`'s division-free words are tested against it bit for bit."""
+    definition, read by `_phase_columns` (mixed denominators) and by `_words_at` for koksma
+    and an even q; `_words_at`'s division-free words are tested against it bit for bit."""
     return np.fromiter(((n % q << 64) // q for n, q in zip(nums, dens)), dtype=np.uint64)
 
 
@@ -334,15 +334,13 @@ def _words_at(spec: GeneratorSpec, seed, positions) -> np.ndarray:
     """The phase words `_unit_words` of the exact samples at 1-based stream positions: for
     an odd q, -R q^-1 mod 2^64 in wrapping uint64 arithmetic on the low words of the
     R = 2^64 r mod q the walk gives with the multiplier 2^64 p mod q (module docstring).
-    Ratios over 2^64, koksma's mantissas, are their own words."""
+    koksma's mantissas over 2^64 and an even q take `_unit_words`."""
     q = seed.denominator
     if spec.exact and q & 1:
         rems = _samples_at(spec, seed, _indices_at(spec, positions), (seed.numerator << 64) % q)
         low = np.fromiter((r & _WORD_MASK for r in rems), dtype=np.uint64, count=len(rems))
         return low * np.uint64(_neg_inverse(q))
     nums, q = _ratios_at(spec, seed, positions)
-    if q == 1 << 64:
-        return np.array(nums, dtype=np.uint64)
     return _unit_words(nums, [q] * len(nums))
 
 

@@ -406,6 +406,15 @@ class TestPowerStream:
         for k, s in enumerate(samples, start=1):
             assert _within_bound(s, t, k)
 
+    @pytest.mark.parametrize("last", [4, 10], ids=["settle", "rescale"])
+    def test_rounded_up_mantissa_stays_below_one(self, last):
+        # frac(t^2) = 1 - 3/p^2 rounds up to 2^64 at 64 bits: read to index 4 the exact
+        # settle rounds it, read to index 10 the rescale does; 0 would be 2^64 ulps off
+        t = Fraction(3 * PELL_Q, PELL_P)
+        s = list(fixed_point_power_stream(t, range(1, last + 1), Fraction(2)))[1]
+        assert s.mantissa == 2**64 - 1
+        assert _within_bound(s, t, 2)
+
     @given(st.data())
     @settings(max_examples=25, deadline=None)
     def test_sparse_reads_equal_dense_and_exact(self, data):
@@ -418,6 +427,7 @@ class TestPowerStream:
         assert sparse == [dense[k - 1] for k in indices]
         for k, s in zip(indices, sparse):
             assert _within_bound(s, t, k)
+            assert s.mantissa < 2**64
         # the primitive wants strictly ascending indices; the reader sorts them
         shuffled = data.draw(st.permutations(indices + indices[:1]))
         with pytest.raises(ValueError):
@@ -462,10 +472,18 @@ RAISES = {
                           "exact rational bound, got float"),
     "seed-empty-interval": (lambda: RationalSeed(1, 3, interval=(Fraction(1, 2), Fraction(1, 2))),
                             IntervalWidthError, "empty interval"),
+    "seed-one-bound": (lambda: RationalSeed(3, 2, interval=(1,), prime_denominator=False),
+                       ValueError, "interval takes two bounds, got 1"),
+    "seed-three-bounds": (lambda: RationalSeed(3, 2, interval=(1, 2, 0), prime_denominator=False),
+                          ValueError, "interval takes two bounds, got 3"),
     "seed-numerator": (lambda: RationalSeed(-1, 3, interval=(Fraction(-1), Fraction(1))),
                        ValueError, "numerator must be positive"),
     "sample-empty-interval": (lambda: SeedSampler(1, 16).sample((Fraction(2), Fraction(1))),
                               IntervalWidthError, "empty interval"),
+    "sample-one-bound": (lambda: SeedSampler(1, 64).sample((1,)), ValueError,
+                         "interval takes two bounds, got 1"),
+    "sample-three-bounds": (lambda: SeedSampler(1, 64).sample((1, 2, 0)), ValueError,
+                            "interval takes two bounds, got 3"),
     # only p = q lies strictly inside (1 - 2^-20, 1 + 2^-20) for an 8-bit q
     "sample-no-coprime": (lambda: SeedSampler(1, 8).sample(
         (1 - Fraction(1, 2**20), 1 + Fraction(1, 2**20))), IntervalWidthError, "coprime"),

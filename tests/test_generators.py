@@ -30,6 +30,7 @@ from equidist.generators import (
 )
 from equidist.discrepancy import star_discrepancy_1d
 from equidist.stochastic import _draw_seeds
+from equidist.weyl import _words_at
 
 
 def _values(stream):
@@ -200,6 +201,20 @@ class TestUnitSample:
         floats = _scalars_at(GeneratorSpec.koksma(), seed, [1])
         assert floats.tolist() == [below_one]
         assert star_discrepancy_1d(floats).value == below_one
+
+
+    def test_koksma_sample_just_below_one_reads_below_one(self):
+        # t = 3 q / p with p^2 - 3 q^2 = 1: frac(t^2) = 1 - 3/p^2 rounds up to 2^64 at
+        # 64 bits and is clamped to 2^64 - 1; wrapped to 0 every view would be 1 off
+        p, q = 5170128475599457, 2984975067132296
+        seed = RationalSeed(3 * q, p, (Fraction(1), Fraction(2)), prime_denominator=False)
+        spec, below_one = GeneratorSpec.koksma(), math.nextafter(1.0, 0.0)
+        stream = beta_stream(spec, seed, 3)
+        assert stream[1].value == Fraction(2**64 - 1, 2**64)
+        assert stream[1].as_float() == below_one
+        assert stream_floats(stream)[1] == below_one
+        assert _scalars_at(spec, seed, [2]).tolist() == [below_one]
+        assert _words_at(spec, seed, [2]).tolist() == [2**64 - 1]
 
 
 class TestWindows:
@@ -520,6 +535,8 @@ RAISES = {
     "unknown-family": (lambda: GeneratorSpec("fibonacci"), ValueError, "unknown family"),
     "linear-descriptor": (lambda: GeneratorSpec("linear_integer"), ValueError,
                           "needs a coefficient descriptor"),
+    "fixed-above-one": (lambda: UnitSample(k=1, fixed=FixedPointReal(2**64, 64)), ValueError,
+                        r"fixed-point sample outside \[0, 1\)"),
     "residue-alone": (lambda: UnitSample(k=1, residue=1), ValueError, "go together"),
     "residue-count": (lambda: residue_stream(GeneratorSpec.factorial(), FIFTH, -1), ValueError,
                       "count must be nonnegative"),
