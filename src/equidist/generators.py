@@ -14,17 +14,15 @@ in the caller's order, exact residues for the integer families and
 `beta_stream` and the float crossing `_scalars_at` are views over it.
 
 Every sample is a ratio of integers in [0, 1) (`UnitSample.ratio`, `_ratios_at`):
-residue / q, or koksma's mantissa / 2^64, which the power stream keeps below
-2^64 by construction.  Weyl phases, in `criterion_scan` and the Monte-Carlo
-engine alike, are the words w = floor(2^64 r / q) of the ratios, defined in
-integers by `weyl._unit_words`, the tests' oracle.  `weyl._words_at` builds
-them without a division.  For an odd q, r 2^64 = w q + R with 0 <= R < q, so
-w = -R q^-1 mod 2^64 exactly (w < 2^64); every exact family is linear in p,
-so the walk run with the multiplier p' = 2^64 p mod q (`_samples_at`'s
-`multiplier`) gives each R.  koksma's ratios over 2^64 and an even q, only in
-a hand-built seed, take `_unit_words`.  Floats come only from `unit_float`,
-one correct rounding clamped below 1, so a mantissa of 2^64 - 1 is
-1 - 2^-53, not 1.0.
+residue / q, or koksma's mantissa / 2^64, kept below 2^64 by the power stream.  Its
+phase word w = floor(2^64 r / q) is defined in integers by `_unit_words`, the tests'
+oracle.  `_words_at` builds a seed's words without a division: for an odd q,
+r 2^64 = w q + R with 0 <= R < q, so w = -R q^-1 mod 2^64 exactly (w < 2^64), and the
+walk run with the multiplier 2^64 p mod q (`_samples_at`'s `multiplier`; every exact
+family is linear in p) gives each R.  koksma and an even q take `_unit_words`.
+`_word_table` builds every windowed word table (`PhaseTable`) that Weyl scans and the
+Monte-Carlo engine read.  Floats come only from `unit_float`, one correct rounding
+clamped below 1, so a mantissa of 2^64 - 1 is 1 - 2^-53, not 1.0.
 
 Multidimensional points come from two constructions over scalar streams,
 interleaved blocks over d independent seeds or windows over one stream
@@ -99,9 +97,9 @@ class GeneratorSpec:
     """One sequence family with its parameters and an optional reindexing.
 
     `permutation` rewires the output stream to beta_{a_1}, beta_{a_2}, ...; built once,
-    a spec is checked once: integers by `operator.index`, an interval as two exact
-    rationals lo < hi, listed entries positive and a permutation's pairwise distinct
-    over the whole tuple, and every spec hashes.
+    a spec is checked once: a parameter only on the family that reads it, integers by
+    `operator.index`, an interval as two exact rationals lo < hi, listed entries positive
+    and a permutation's pairwise distinct over the whole tuple, and every spec hashes.
     """
 
     family: str
@@ -114,8 +112,11 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        for name in ("power", "base"):
-            if (value := getattr(self, name)) is not None:  # Python ints: numpy ones wrap
+        for name, owner in (("power", "weyl_power"), ("base", "multiplicative"),
+                            ("coefficients", "linear_integer"), ("interval", "koksma")):
+            if (value := getattr(self, name)) is not None and self.family != owner:
+                raise ValueError(f"{self.family} takes no {name}")
+            if value is not None and name in ("power", "base"):  # Python ints: numpy ones wrap
                 object.__setattr__(self, name, operator.index(value))
         if (iv := self.interval) is not None:  # exact bounds: a float raises TypeError
             object.__setattr__(self, "interval", iv := _as_interval(iv))
@@ -510,6 +511,48 @@ def windows_array(values: np.ndarray, cfg: WindowConfig, count: int | None = Non
         )
     read = lambda _spec, _seed, at: values[at.start - 1 : at.stop - 1 : at.step]  # noqa: E731
     return np.column_stack(_read_windows(read, None, None, cfg, count))
+
+
+# -- phase words ---------------------------------------------------------
+
+_WORD_MASK = (1 << 64) - 1
+
+
+def _unit_words(nums, dens) -> np.ndarray:
+    """The phase words floor(2^64 frac(n / q)) of the ratios n / q, n any integer: the
+    definition and the tests' oracle, read for mixed denominators, koksma and an even q."""
+    return np.fromiter(((n % q << 64) // q for n, q in zip(nums, dens)), dtype=np.uint64)
+
+
+def _neg_inverse(q: int) -> int:
+    """-q^-1 mod 2^64 for an odd q: Newton's x <- x (2 - q x) on q's low word doubles the
+    3 bits of x = q (q^2 = 1 mod 8) five times, to 96: cheaper than pow(q, -1, 2^64)."""
+    x = q = q & _WORD_MASK
+    for _ in range(5):
+        x = x * (2 - q * x) & _WORD_MASK
+    return -x & _WORD_MASK
+
+
+class PhaseTable(tuple):
+    """Phase words of points: self[j][k] = floor(2^64 frac(x_kj))."""
+
+
+def _words_at(spec: GeneratorSpec, seed, positions) -> np.ndarray:
+    """The phase words `_unit_words` of the samples at 1-based stream positions.  For an odd
+    q, r 2^64 = w q + R (0 <= R < q) gives w = -R q^-1 mod 2^64, in wrapping uint64 arithmetic
+    on the R the walk gives with the multiplier 2^64 p mod q; koksma and an even q divide."""
+    q = seed.denominator
+    if spec.exact and q & 1:
+        rems = _samples_at(spec, seed, _indices_at(spec, positions), (seed.numerator << 64) % q)
+        low = np.fromiter((r & _WORD_MASK for r in rems), dtype=np.uint64, count=len(rems))
+        return low * np.uint64(_neg_inverse(q))
+    nums, q = _ratios_at(spec, seed, positions)
+    return _unit_words(nums, [q] * len(nums))
+
+
+def _word_table(spec: GeneratorSpec, seed, cfg: WindowConfig, ks) -> PhaseTable:
+    """The words of windows `ks` per coordinate (`_read_windows`): the one word table builder."""
+    return PhaseTable(_read_windows(_words_at, spec, seed, cfg, ks))
 
 
 # -- stream files --------------------------------------------------------

@@ -13,9 +13,9 @@ Every seed-averaged statistic reads one (seed, column) table, in seed draw order
 from one source (`_seed_table`): Y_k for a column (k,) and Y_k conj(Y_l) for a
 column (k, l), in one kernel pass over all seeds (`_window_rows`), or |S_n| at the
 indices n - 1 of an int array, one pass per seed (`_prefix_rows`).  Terms are summed
-from phase words of the exact samples at the positions of `WindowConfig.positions`,
-with no float crossing.  The source rejects n_seeds < 2, interleaved_a (d seeds per
-point) and an m of another dimension than the windows, and draws all seeds up front.
+from the windows' phase words (`generators._word_table`), with no float crossing.  The
+source rejects n_seeds < 2, interleaved_a (d seeds per point) and an m of another
+dimension than the windows, and draws all seeds up front.
 Each estimate is a column mean with standard error std(ddof=1) / sqrt(n_seeds)
 (`_mean_stderr`).  When the exact window sums w_k (`_window_sums`) vanish for every
 window (`_zero_frequency`), every Y_k is 1, so |S_n| = n and no seed is drawn.
@@ -36,16 +36,16 @@ import numpy as np
 from .arithmetic import DEFAULT_SEED_BITS, RationalSeed, SeedSampler
 from .generators import (
     GeneratorSpec,
+    PhaseTable,
     WindowConfig,
     _descriptor_at,
     _indices_at,
     _read_windows,
+    _word_table,
 )
 from .weyl import (
     MultiIndex,
-    PhaseTable,
     _checkpoints,
-    _words_at,
     as_multi_index,
     checkpoint_grid,
     unit_terms,
@@ -155,7 +155,7 @@ def _window_rows(spec, cfg, m, columns, seeds) -> np.ndarray:
     vectorised complex multiply may fuse them (FMA) and round differently.
     """
     ks = sorted({k for column in columns for k in column})
-    words = zip(*(_read_windows(_words_at, spec, seed, cfg, ks) for seed in seeds))
+    words = zip(*(_word_table(spec, seed, cfg, ks) for seed in seeds))
     y = unit_terms(PhaseTable(map(np.concatenate, words)), m).reshape(len(seeds), len(ks))
     at = {k: i for i, k in enumerate(ks)}
     a, b = (y.take([at[c[i]] for c in columns], axis=1) for i in (0, -1))  # C order, as stacked
@@ -169,7 +169,7 @@ def _prefix_rows(spec, cfg, m, at, seeds) -> np.ndarray:
     one kernel pass per seed: a pass already spans n terms."""
     rows = np.empty((len(seeds), len(at)))
     for row, seed in zip(rows, seeds):
-        table = PhaseTable(_read_windows(_words_at, spec, seed, cfg, int(at[-1]) + 1))
+        table = _word_table(spec, seed, cfg, int(at[-1]) + 1)
         np.abs(np.cumsum(unit_terms(table, m))[at], out=row)
     return rows
 
@@ -336,9 +336,9 @@ def del_criterion(
     percent as growth.  A companion log-log fit of E(|S_n|/n)^2 against n
     lands in the details: exponent near 1 is the orthogonal-family rate,
     near 0 the degenerate one.  Both need two checkpoints, so n_max below
-    the second one (27) raises ValueError.  For a zero-frequency m,
-    |S_n| = n exactly and no seed is drawn: n_seeds, master_seed and
-    bit_width are only validated.
+    the second one (27) raises ValueError.  A zero-frequency m has |S_n| = n,
+    a harmonic series, divergent-trend by proof with no seed drawn:
+    n_seeds, master_seed and bit_width are only validated.
     """
     m = as_multi_index(m)
     cps = checkpoint_grid(n_max)
@@ -356,13 +356,11 @@ def del_criterion(
     partial = np.cumsum(est_sq[n0 - 1 :] / ns**3)
     del_at_cps = tuple(float(partial[c - n0]) for c in cps)
     decade_start = max(n0, n_max // 10)
-    ratio = float(
-        (partial[-1] - partial[decade_start - n0]) / partial[-1]
-    )
-    if ratio < 0.05:
-        verdict = "convergent-trend"
-    elif ratio > 0.25:
+    ratio = float((partial[-1] - partial[decade_start - n0]) / partial[-1])
+    if ratio > 0.25 or _zero_frequency(spec, m):  # |S_n| = n: the harmonic series, by proof
         verdict = "divergent-trend"
+    elif ratio < 0.05:
+        verdict = "convergent-trend"
     else:
         verdict = "inconclusive"
     cp_arr = np.array(cps, dtype=float)

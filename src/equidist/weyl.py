@@ -8,17 +8,14 @@ m . beta_k are constant, and m is a degenerate direction for the family.
 
 Numerical contract.  A phase is a uint64 u standing for u / 2^64 mod 1, and
 e(phase) has one kernel (`_unit_circle`).  Each coordinate x has one phase word
-floor(2^64 frac(x)), less than a unit of 2^-64 below it: exact samples (UnitSample,
-rationals, what `criterion_scan` and the Monte-Carlo engine read) from their ratio
-in integers, float rows as floor(x 2^64).  `_unit_words` defines the exact words,
-w = floor(2^64 r / q) for r / q in [0, 1), and is the tests' oracle for the fast
-path `_words_at` takes for the samples of a seed with an odd q: there
-r 2^64 = w q + R with 0 <= R < q, so w q = -R (mod 2^64) and w = -R q^-1 mod 2^64,
-exactly, as 0 <= w < 2^64; the walk gives R directly with the multiplier 2^64 p mod q.
-koksma's mantissas n < 2^64 over 2^64 are their own words.  The phase of m . x_k,
-the wraparound sum of m_j times the words, is thus within ||m||_1 units of the exact
-one, in [-sum_{m_j > 0} m_j, sum_{m_j < 0} |m_j|]: an identity M x_k = x_{k+1} gives
-phases within M units of 0, e() with a real part of exactly 1.0, and |W_N| = 1.
+floor(2^64 frac(x)), less than a unit of 2^-64 below it: float rows as floor(x 2^64),
+exact samples (UnitSample, rationals) from their ratio in integers, as `generators`
+defines, builds and derives them (`_unit_words`, `_words_at`); `criterion_scan` and the
+Monte-Carlo engine read `generators._word_table`, and this module turns words into
+terms and sums.  The phase of m . x_k, the wraparound sum of m_j times the words, is
+thus within ||m||_1 units of the exact one, in [-sum_{m_j > 0} m_j, sum_{m_j < 0} |m_j|]:
+an identity M x_k = x_{k+1} gives phases within M units of 0, e() with a real part of
+exactly 1.0, and |W_N| = 1.
 e() is within 2.3e-16 per part (2.2e-16 measured against a 200-bit reference,
 where cos/sin of a rounded float phase were off by up to 1.0e-15).  Sums run over
 segments (between checkpoints, at most 2^13 terms) combined by Neumaier accumulation;
@@ -46,13 +43,13 @@ import numpy as np
 from .errors import StreamLengthError
 from .generators import (
     GeneratorSpec,
+    PhaseTable,
     UnitSample,
     WindowConfig,
-    _indices_at,
-    _ratios_at,
     _read_windows,
-    _samples_at,
     _scalars_at,
+    _unit_words,
+    _word_table,
 )
 
 CHECKPOINT_RATIO = 1.5
@@ -220,30 +217,6 @@ def _term_chunks(columns: list, n: int):
         yield a, _unit_circle(u)
 
 
-def _unit_words(nums, dens) -> np.ndarray:
-    """The phase words floor(2^64 frac(n / q)) of the ratios n / q, n any integer: the
-    definition, read by `_phase_columns` (mixed denominators) and by `_words_at` for koksma
-    and an even q; `_words_at`'s division-free words are tested against it bit for bit."""
-    return np.fromiter(((n % q << 64) // q for n, q in zip(nums, dens)), dtype=np.uint64)
-
-
-_WORD_MASK = (1 << 64) - 1
-
-
-def _neg_inverse(q: int) -> int:
-    """-q^-1 mod 2^64 for an odd q, by Newton's steps x <- x (2 - q x) on q's low word:
-    x = q is q^-1 to 3 bits (q^2 = 1 mod 8) and each step doubles that, to 96 in 5."""
-    q &= _WORD_MASK
-    x = q
-    for _ in range(5):
-        x = x * (2 - q * x) & _WORD_MASK
-    return -x & _WORD_MASK
-
-
-class PhaseTable(tuple):
-    """Phase words of points: self[j][k] = floor(2^64 frac(x_kj))."""
-
-
 def _phase_columns(points, m: MultiIndex) -> tuple[list, int]:
     """The (weight, words) pairs `_term_chunks` sums for m, and the point count, of a
     `PhaseTable`, a float (N, d) array in [0, 1), or a list of points read through each
@@ -330,20 +303,6 @@ def scan_points(spec: GeneratorSpec, seed, cfg: WindowConfig, count: int) -> np.
     return np.column_stack(_read_windows(_scalars_at, spec, seed, cfg, count))
 
 
-def _words_at(spec: GeneratorSpec, seed, positions) -> np.ndarray:
-    """The phase words `_unit_words` of the exact samples at 1-based stream positions: for
-    an odd q, -R q^-1 mod 2^64 in wrapping uint64 arithmetic on the low words of the
-    R = 2^64 r mod q the walk gives with the multiplier 2^64 p mod q (module docstring).
-    koksma's mantissas over 2^64 and an even q take `_unit_words`."""
-    q = seed.denominator
-    if spec.exact and q & 1:
-        rems = _samples_at(spec, seed, _indices_at(spec, positions), (seed.numerator << 64) % q)
-        low = np.fromiter((r & _WORD_MASK for r in rems), dtype=np.uint64, count=len(rems))
-        return low * np.uint64(_neg_inverse(q))
-    nums, q = _ratios_at(spec, seed, positions)
-    return _unit_words(nums, [q] * len(nums))
-
-
 def criterion_scan(
     spec: GeneratorSpec,
     seed,
@@ -359,7 +318,7 @@ def criterion_scan(
     the leading coordinates' row products (c_0 >= 0) against the last coordinate's rows.
     """
     cps = tuple(checkpoint_grid(n_max))
-    table = PhaseTable(_read_windows(_words_at, spec, seed, cfg, n_max))
+    table = _word_table(spec, seed, cfg, n_max)
     d, r, half = cfg.d, m_radius, canonical_half(cfg.d, m_radius)
     support = [[(j, c) for j, c in enumerate(m.components) if c] for m in half]
     multi = [i for i, nz in enumerate(support) if len(nz) > 1]

@@ -23,6 +23,7 @@ from equidist.generators import (
     interleaved_vectors,
     _samples_at,
     _scalars_at,
+    _words_at,
     residue_stream,
     stream_floats,
     unit_float,
@@ -30,7 +31,6 @@ from equidist.generators import (
 )
 from equidist.discrepancy import star_discrepancy_1d
 from equidist.stochastic import _draw_seeds
-from equidist.weyl import _words_at
 
 
 def _values(stream):
@@ -327,7 +327,7 @@ class TestWindowReader:
     )
     def test_sparse_rows_are_dense_rows(self, family, d, h, o, interleaved, ks, m):
         from equidist.stochastic import _coefficient, _window_sums
-        from equidist.weyl import MultiIndex, _words_at
+        from equidist.weyl import MultiIndex
 
         spec, seeds = READER_SPECS[family], READER_SEEDS[family]
         if interleaved and spec.permutation is not None:
@@ -535,6 +535,16 @@ RAISES = {
     "unknown-family": (lambda: GeneratorSpec("fibonacci"), ValueError, "unknown family"),
     "linear-descriptor": (lambda: GeneratorSpec("linear_integer"), ValueError,
                           "needs a coefficient descriptor"),
+    # a parameter the family never reads: (5, 7) would be stored, and factorial with
+    # power=3 would differ from GeneratorSpec.factorial() though both give one stream
+    "interval-off-koksma": (lambda: GeneratorSpec("factorial", interval=(5, 7)), ValueError,
+                            "factorial takes no interval"),
+    "power-off-weyl": (lambda: GeneratorSpec("factorial", power=3), ValueError,
+                       "factorial takes no power"),
+    "base-off-multiplicative": (lambda: GeneratorSpec("weyl_power", power=2, base=3), ValueError,
+                                "weyl_power takes no base"),
+    "coefficients-off-linear": (lambda: GeneratorSpec("koksma", interval=(1, 2), coefficients=(1,)),
+                                ValueError, "koksma takes no coefficients"),
     "fixed-above-one": (lambda: UnitSample(k=1, fixed=FixedPointReal(2**64, 64)), ValueError,
                         r"fixed-point sample outside \[0, 1\)"),
     "residue-alone": (lambda: UnitSample(k=1, residue=1), ValueError, "go together"),

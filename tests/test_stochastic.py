@@ -30,8 +30,6 @@ from equidist.stochastic import (
 )
 from equidist.weyl import (
     MultiIndex,
-    PhaseTable,
-    _words_at,
     degenerate_m_weyl,
     multi_indices,
     unit_terms,
@@ -353,6 +351,14 @@ class TestDelCriterion:
         assert res.verdicts["del_series"] == "divergent-trend"
         assert res.details["last_decade_ratio"] > 0.25
         assert abs(res.details["sq_decay_alpha"]) < 0.2
+
+    @pytest.mark.parametrize("n_max, ratio", [(260_000, 0.2495), (300_000, 0.2457)])
+    def test_zero_frequency_diverges_by_proof(self, n_max, ratio):
+        # |S_n| = n exactly, so the series is the harmonic one: past n_max = 2.5 10^5 its
+        # last decade holds under 25 percent of the total, yet it still diverges
+        res = del_criterion(MULT2, D2, (2, -1), n_max, n_seeds=4)
+        assert res.verdicts["del_series"] == "divergent-trend"
+        assert res.details["last_decade_ratio"] == pytest.approx(ratio, abs=5e-5)
 
     def test_partial_sums_nondecreasing(self):
         res = del_criterion(FACTORIAL, D1, (1,), 500, n_seeds=8)
@@ -769,7 +775,7 @@ class TestTermPaths:
         seed = SeedSampler(6, bit_width=64).sample(spec.seed_interval())
         cfg = WindowConfig(d=3, h=h, o=1)
         m = MultiIndex((3, -2, 3))
-        table = PhaseTable(generators._read_windows(_words_at, spec, seed, cfg, 40))
+        table = generators._word_table(spec, seed, cfg, 40)
         prefix = unit_terms(table, m)
         (row,) = stochastic._prefix_rows(spec, cfg, m, np.arange(40), [seed])
         assert row.tobytes() == np.abs(np.cumsum(prefix)).tobytes()
@@ -783,7 +789,7 @@ def _one_seed_row(spec, cfg, m, columns, seed) -> np.ndarray:
     # the engine's row before it batched seeds: one kernel pass for one seed, and each
     # pair the numpy scalar product Y_k * conj(Y_l)
     ks = sorted({k for column in columns for k in column})
-    table = PhaseTable(generators._read_windows(_words_at, spec, seed, cfg, ks))
+    table = generators._word_table(spec, seed, cfg, ks)
     y = dict(zip(ks, unit_terms(table, m)))
     return np.array(
         [y[c[0]] * np.conj(y[c[1]]) if len(c) == 2 else y[c[0]] for c in columns],
@@ -793,7 +799,7 @@ def _one_seed_row(spec, cfg, m, columns, seed) -> np.ndarray:
 
 def _one_seed_sums(spec, cfg, m, at, seed) -> np.ndarray:
     # |S_n| at the indices n - 1 in `at`, from one kernel pass over one seed's stream
-    table = PhaseTable(generators._read_windows(_words_at, spec, seed, cfg, int(at[-1]) + 1))
+    table = generators._word_table(spec, seed, cfg, int(at[-1]) + 1)
     return np.abs(np.cumsum(unit_terms(table, m)))[at]
 
 

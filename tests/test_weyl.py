@@ -12,10 +12,15 @@ from hypothesis import strategies as st
 from equidist.arithmetic import FixedPointReal, RationalSeed, SeedSampler
 from equidist.generators import (
     GeneratorSpec,
+    PhaseTable,
     UnitSample,
     WindowConfig,
+    _neg_inverse,
     _ratios_at,
     _read_windows,
+    _unit_words,
+    _word_table,
+    _words_at,
     beta_stream,
     interleaved_vectors,
     unit_float,
@@ -24,14 +29,10 @@ from equidist.stochastic import _draw_seeds
 from equidist.weyl import (
     _CHUNK,
     MultiIndex,
-    PhaseTable,
     WeylSeries,
-    _neg_inverse,
     _phase_columns,
     _running_sums,
     _term_chunks,
-    _unit_words,
-    _words_at,
     canonical_half,
     checkpoint_grid,
     criterion_scan,
@@ -464,7 +465,7 @@ class TestDivisionFreeWords:
         count = data.draw(st.integers(0, 150), label="count")
         ks = data.draw(st.lists(st.integers(1, 150), max_size=40), label="ks")
         for windows in (count, ks):  # ranges and window lists, repeats in any order
-            got = _read_windows(_words_at, spec, seed, cfg, windows)
+            got = _word_table(spec, seed, cfg, windows)
             want = _read_windows(_defining_words, spec, seed, cfg, windows)
             assert [w.tobytes() for w in got] == [w.tobytes() for w in want]
 
@@ -474,11 +475,6 @@ class TestDivisionFreeWords:
             rng.getrandbits(bits) | 1 for bits in (8, 64, 256) for _ in range(30)
         ]:
             assert q * _neg_inverse(q) % 2**64 == 2**64 - 1
-
-
-def _word_table(spec, seed, cfg, ks) -> PhaseTable:
-    """The phase words `criterion_scan` reads: the window reader over `_words_at`."""
-    return PhaseTable(_read_windows(_words_at, spec, seed, cfg, ks))
 
 
 def _factor_bound(d: int) -> float:
