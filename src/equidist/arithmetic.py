@@ -30,9 +30,10 @@ bases from an rng keyed on n, so the first t bases are those of the 48-round
 test and a different prime is drawn only if a composite passes them.  Each
 proved prime is remembered, so the seed built from it is not proved again.
 
-Power sequences t^k get a fixed-point carrier (`FixedPointReal`) whose error
-in ulps is propagated, never reset.  The koksma stream jumps the exact seed
-by p^g / q^g between indices read and settles any sample near an integer exactly.
+Power sequences t^k get a fixed-point carrier (`FixedPointReal`) whose error in ulps is
+propagated, never reset.  The koksma stream steps the seed between indices read by m <-
+round(m p^g / (q^g 2^(W_k - W_(k+g)))) on W_k = ceil((K - k) log2 hi) + 1 + guard bits, what
+later reads need: error at most 4 per step, one W_0-bit product and one division each.
 """
 
 from __future__ import annotations
@@ -255,7 +256,7 @@ class SeedSampler:
 
 
 def _round_div(a: int, b: int) -> tuple[int, bool]:
-    """Round-to-nearest a/b (ties away from zero for b>0); flags inexactness."""
+    """Round-to-nearest a/b for b > 0, ties up: floor(a/b + 1/2); flags inexactness."""
     q, r = divmod(a, b)
     if r == 0:
         return q, False
@@ -308,15 +309,13 @@ class FixedPointReal:
         return FixedPointReal(m, f, err)
 
     def rescale(self, frac_bits: int) -> "FixedPointReal":
-        """Round to frac_bits <= self.frac_bits; it only drops bits."""
+        """Round to frac_bits <= self.frac_bits by shifts, as `_round_div(x, 2^s)` does."""
         if frac_bits == self.frac_bits:
             return self
         shift = self.frac_bits - frac_bits
-        m, inexact = _round_div(self.mantissa, 1 << shift)
-        err = -(-self.err_ulps >> shift) if self.err_ulps else 0
-        if inexact:
-            err += 1
-        return FixedPointReal(m, frac_bits, err)
+        m = (self.mantissa + (1 << (shift - 1))) >> shift
+        inexact = self.mantissa & ((1 << shift) - 1) != 0
+        return FixedPointReal(m, frac_bits, -(-self.err_ulps >> shift) + inexact)
 
     def frac(self) -> "FixedPointReal":
         """Fractional part of the represented value, its error bound kept mod 1 only:
@@ -360,19 +359,19 @@ def fixed_point_pow(t, k: int) -> FixedPointReal:
 def fixed_point_power_stream(t: Fraction, indices, hi: Fraction):
     """Yield frac(t^k) at strictly ascending indices k >= 1, error-tracked.
 
-    The exact seed t = p/q is stepped at W = ceil(K log2 hi) + 1 +
-    POWER_STREAM_GUARD_BITS bits (K the last index, hi the interval's sup):
-    m ~ t^k 2^W starts exact at 2^W (k = 0), and a gap g is one step
-    m' = round(m p^g / q^g), p^g and q^g reused while g repeats.  As m t^g -
-    t^(k+g) 2^W = (m - t^k 2^W) t^g, the bound err on |m - t^k 2^W| steps to
-    ceil(err p^g / q^g) + [inexact] < err t^g + 2: err < 2k t^k < 2^(W-64), and a
-    sample, FixedPointReal(m mod 2^W, W, err) rounded to 64 bits, carries 1-2 ulps,
-    unless m mod 2^W lies within err of an integer: then it is settled exactly from
-    (p^k mod q^k) / q^k.  Either rounding may reach 2^64, yielded as 2^64 - 1 with one
-    ulp more: every mantissa is below 2^64, within err_ulps of frac(t^k) 2^64 as integers.
-    A step costs O(W), the ~2W-bit m times a g-word power, not a W x W
-    multiply per index up to K.  m and the settle still grow with K log2 hi,
-    so the caps on K (DEFAULT_MAX_POWER_STEPS) and W (DEFAULT_MAX_WORK_BITS) stay.
+    The exact seed t = p/q is stepped on a carrier that shrinks to what the reads left need:
+    m ~ t^k 2^W_k, W_k = ceil((K - k) log2 hi) + 1 + POWER_STREAM_GUARD_BITS (K the last
+    index, hi the interval's sup), m = 2^W_0 at k = 0.  A gap g is one step m' = round(m p^g /
+    (q^g 2^D)), D = W_k - W_(k+g) >= 0, p^g and q^g reused while g repeats.  It scales the
+    error m - t^k 2^W_k by t^g / 2^D, so its bound err steps to ceil(err p^g / (q^g 2^D)) +
+    [inexact]; over steps k..k' those factors multiply to at most 2 (t/hi)^(k'-k) <= 2, so
+    err_k <= 4 steps < 2^17 while W_k - 64 >= 33.  A sample, FixedPointReal(m mod 2^W_k, W_k,
+    err) rounded to 64 bits, carries 1-2 ulps, unless m mod 2^W_k lies within err of an
+    integer: then it is settled exactly from (p^k mod q^k) / q^k.  Either rounding may reach
+    2^64, yielded as 2^64 - 1 with one ulp more: every mantissa is below 2^64, within err_ulps
+    of frac(t^k) 2^64 as integers.  A step costs one ~W_0-bit m times a g-word power and one
+    division by q^g 2^D; err stays one word.  A dyadic t is exact only while q^k divides
+    2^W_k.  W_0 and the settle grow with K log2 hi, hence the caps on K and on W_0.
     """
     t, hi = _as_fraction(t), _as_fraction(hi)
     if not 1 < t < hi:
@@ -390,14 +389,15 @@ def fixed_point_power_stream(t: Fraction, indices, hi: Fraction):
         raise PrecisionBudgetError(
             f"index {last} in (1, {hi}) needs {work} working bits, cap is {DEFAULT_MAX_WORK_BITS}"
         )
-    p, q, one = t.numerator, t.denominator, 1 << work
-    m, err, gap = one, 0, None
+    p, q, m, err, gap = t.numerator, t.denominator, 1 << work, 0, None
     for k, target in steps:
         if target - k != gap:
             gap = target - k
             p_gap, q_gap = p**gap, q**gap
-        m, inexact = _round_div(m * p_gap, q_gap)
-        err = -(-err * p_gap // q_gap) + inexact
+        width = math.ceil((last - target) * lg_hi) + 1 + POWER_STREAM_GUARD_BITS
+        den, work, one = q_gap << (work - width), width, 1 << width
+        m, inexact = _round_div(m * p_gap, den)
+        err = -(-err * p_gap // den) + inexact
         if err < (wrapped := m & (one - 1)) < one - err:
             s = FixedPointReal(wrapped, work, err).rescale(POWER_STREAM_FRAC_BITS)
         else:  # frac(t^k) within err of an integer: settle it exactly

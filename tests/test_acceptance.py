@@ -41,7 +41,6 @@ from equidist.weyl import (
     canonical_half,
     checkpoint_grid,
     criterion_scan,
-    degenerate_m_multiplicative,
     degenerate_m_weyl,
     multi_indices,
     scan_points,

@@ -1,5 +1,6 @@
 """Exact arithmetic kernel: primes, seeds, factorials mod q, fixed point."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ from equidist.arithmetic import (
     RationalSeed,
     SeedSampler,
     _dlp_rounds,
+    _round_div,
     fixed_point_pow,
     fixed_point_power_stream,
     is_probable_prime,
@@ -289,6 +291,23 @@ class TestFixedPointReal:
         x = FixedPointReal.from_fraction(Fraction(27, 8), 16)
         assert x.frac().mantissa == 3 * 2**13
 
+    # x / 2^shift and its floor(x / 2^shift + 1/2): ties go up for either sign
+    @pytest.mark.parametrize(
+        "x, shift, rounded",
+        [(-3, 1, -1), (3, 1, 2), (-1, 1, 0), (1, 1, 1), (-12, 3, -1), (-4, 3, 0), (4, 3, 1)],
+    )
+    def test_rescale_ties_round_up(self, x, shift, rounded):
+        s = FixedPointReal(x, shift).rescale(0)
+        assert _round_div(x, 1 << shift) == (rounded, True)
+        assert (s.mantissa, s.err_ulps) == (rounded, 1)
+
+    @given(st.integers(-(2**80), 2**80), st.integers(1, 70), st.integers(0, 2**40))
+    @settings(max_examples=300, deadline=None)
+    def test_rescale_shift_equals_round_div(self, x, shift, err):
+        s = FixedPointReal(x, shift + 8, err).rescale(8)
+        m, inexact = _round_div(x, 1 << shift)
+        assert (s.mantissa, s.frac_bits, s.err_ulps) == (m, 8, -(-err >> shift) + inexact)
+
     @given(
         st.fractions(min_value=0, max_value=4),
         st.fractions(min_value=0, max_value=4),
@@ -346,6 +365,17 @@ def _within_bound(s: FixedPointReal, t: Fraction, k: int) -> bool:
     """|s - (p^k mod q^k) / q^k| <= s.err_ulps ulps, in integers (no gcd)."""
     p, q_k = t.numerator, t.denominator**k
     return abs(s.mantissa * q_k - ((p**k % q_k) << s.frac_bits)) <= s.err_ulps * q_k
+
+
+def _pinned_read(name):
+    """A seed, indices and hi: dense at 256 bits, lemma-3-like sparse at 64, and hi = 5/2."""
+    two, five_halves = Fraction(2), Fraction(5, 2)
+    if name == "dense":
+        return SeedSampler(7, 256).sample((Fraction(1), two)).value, range(1, 2001), two
+    if name == "sparse":
+        indices = sorted(random.Random(3).sample(range(1, 4097), 64))
+        return SeedSampler(11, 64).sample((Fraction(1), two)).value, indices, two
+    return SeedSampler(13, 64).sample((Fraction(1), five_halves)).value, range(1, 1201), five_halves
 
 
 class TestPowerStream:
@@ -414,6 +444,33 @@ class TestPowerStream:
         s = list(fixed_point_power_stream(t, range(1, last + 1), Fraction(2)))[1]
         assert s.mantissa == 2**64 - 1
         assert _within_bound(s, t, 2)
+
+    # SHA-256 of the (mantissa, err_ulps) pairs, recorded when the stream ran at one
+    # fixed width: the shrinking carrier changes no byte of these reads
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("dense", "8eb29bf1b4142e43a32c4194a3b9b280add5aa04abea20f8891295157626c4e8"),
+            ("sparse", "fcc178759668d969180a55b86e1ce77a49a69fe4f1c31cbc9bad6651d982e8fe"),
+            ("hi_5_2", "8fc88ac709dce152e96d1e0115a4c18bacb0198928f41e04e79c110295f9b16a"),
+        ],
+    )
+    def test_pinned_bytes(self, name, digest):
+        samples = fixed_point_power_stream(*_pinned_read(name))
+        pairs = [(s.mantissa, s.err_ulps) for s in samples]
+        assert hashlib.sha256(repr(pairs).encode()).hexdigest() == digest
+
+    @given(st.integers(0, 2**32), st.sampled_from([16, 64, 256]))
+    @settings(max_examples=20, deadline=None)
+    def test_alternating_carrier_drops_keep_the_bound(self, rng_seed, bits):
+        # log2(5/2) = 1.32: a unit step drops the carrier by 1 or 2 bits in turn
+        hi, last = Fraction(5, 2), 300
+        lg = math.log2(5) - 1
+        assert {math.ceil((last - k) * lg) - math.ceil((last - k - 1) * lg) for k in range(last)} == {1, 2}
+        t = SeedSampler(rng_seed, bits).sample((Fraction(1), hi)).value
+        for k, s in enumerate(fixed_point_power_stream(t, range(1, last + 1), hi), start=1):
+            assert _within_bound(s, t, k)
+            assert s.err_ulps <= (3 if s.mantissa == 2**64 - 1 else 2)
 
     @given(st.data())
     @settings(max_examples=25, deadline=None)
