@@ -31,7 +31,8 @@ test and a different prime is drawn only if a composite passes them.  Each
 proved prime is remembered, so the seed built from it is not proved again.
 
 Power sequences t^k get a fixed-point carrier (`FixedPointReal`) whose error in ulps is
-propagated, never reset.  The koksma stream steps the seed between indices read by m <-
+propagated, never reset; one helper, `_round_shift`, rounds it to fewer bits (`rescale`, `mul`
+and every koksma sample).  The koksma stream steps the seed between indices read by m <-
 round(m p^g / (q^g 2^(W_k - W_(k+g)))) on W_k = ceil((K - k) log2 hi) + 1 + guard bits, what
 later reads need: error at most 4 per step, one W_0-bit product and one division each.
 """
@@ -63,8 +64,8 @@ _SMALL_PRIME_PRODUCT = math.prod(_SMALL_PRIMES)
 # The primes up to 47, whose product fits one 64-bit word: n % it is cheap to test first.
 _WORD_PRODUCT = math.prod(_SMALL_PRIMES[:15])
 
-# Proven-deterministic Miller-Rabin witness set below 2^64.
-_MR_WITNESSES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Sinclair's bases, exact below 2^64: each taken mod n, one 0 mod n skipped (Forisek-Jancina 2015).
+_MR_BASES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _MR_ERROR_BITS = 96
 _MR_ROUNDS_LARGE = _MR_ERROR_BITS // 2  # worst case 4^-48 = 2^-96
 
@@ -123,7 +124,7 @@ def is_probable_prime(n: int, *, rounds: int = _MR_ROUNDS_LARGE) -> bool:
         d //= 2
         r += 1
     if n < 1 << 64:
-        witnesses = (a for a in _MR_WITNESSES_64 if a < n - 1)
+        witnesses = (a % n for a in _MR_BASES_64 if a % n)
     else:
         # Bases drawn lazily from an rng keyed on n itself, so the verdict is a
         # pure function of n and the first t bases are the same for any rounds.
@@ -263,6 +264,12 @@ def _round_div(a: int, b: int) -> tuple[int, bool]:
     return (q + 1, True) if 2 * r >= b else (q, True)
 
 
+def _round_shift(x: int, err: int, s: int) -> tuple[int, int]:
+    """x ulps with err ulps of error, rounded to s bits fewer: floor(x / 2^s + 1/2), as
+    `_round_div(x, 2^s)` for either sign, and ceil(err / 2^s) + [inexact].  s = 0 keeps both."""
+    return (x + (1 << s >> 1)) >> s, -(-err >> s) + (x & ((1 << s) - 1) != 0)
+
+
 @dataclass(frozen=True)
 class FixedPointReal:
     """Value mantissa * 2^-frac_bits with a propagated worst-case error.
@@ -295,27 +302,18 @@ class FixedPointReal:
     def mul(self, other: "FixedPointReal") -> "FixedPointReal":
         if other.frac_bits != self.frac_bits:
             raise ValueError("operands must share frac_bits")
-        f = self.frac_bits
-        raw = self.mantissa * other.mantissa
-        m, inexact = _round_div(raw, 1 << f)
         carried = (
             abs(self.mantissa) * other.err_ulps
             + abs(other.mantissa) * self.err_ulps
             + self.err_ulps * other.err_ulps
         )
-        err = -(-carried >> f) if carried else 0  # ceil division by 2^f
-        if inexact:
-            err += 1
-        return FixedPointReal(m, f, err)
+        m, err = _round_shift(self.mantissa * other.mantissa, carried, self.frac_bits)
+        return FixedPointReal(m, self.frac_bits, err)
 
     def rescale(self, frac_bits: int) -> "FixedPointReal":
-        """Round to frac_bits <= self.frac_bits by shifts, as `_round_div(x, 2^s)` does."""
-        if frac_bits == self.frac_bits:
-            return self
-        shift = self.frac_bits - frac_bits
-        m = (self.mantissa + (1 << (shift - 1))) >> shift
-        inexact = self.mantissa & ((1 << shift) - 1) != 0
-        return FixedPointReal(m, frac_bits, -(-self.err_ulps >> shift) + inexact)
+        """Round to frac_bits <= self.frac_bits (`_round_shift`)."""
+        m, err = _round_shift(self.mantissa, self.err_ulps, self.frac_bits - frac_bits)
+        return FixedPointReal(m, frac_bits, err)
 
     def frac(self) -> "FixedPointReal":
         """Fractional part of the represented value, its error bound kept mod 1 only:
@@ -365,8 +363,8 @@ def fixed_point_power_stream(t: Fraction, indices, hi: Fraction):
     (q^g 2^D)), D = W_k - W_(k+g) >= 0, p^g and q^g reused while g repeats.  It scales the
     error m - t^k 2^W_k by t^g / 2^D, so its bound err steps to ceil(err p^g / (q^g 2^D)) +
     [inexact]; over steps k..k' those factors multiply to at most 2 (t/hi)^(k'-k) <= 2, so
-    err_k <= 4 steps < 2^17 while W_k - 64 >= 33.  A sample, FixedPointReal(m mod 2^W_k, W_k,
-    err) rounded to 64 bits, carries 1-2 ulps, unless m mod 2^W_k lies within err of an
+    err_k <= 4 steps < 2^17 while W_k - 64 >= 33.  A sample, m mod 2^W_k and err rounded to 64
+    bits by `_round_shift`, carries 1-2 ulps, unless m mod 2^W_k lies within err of an
     integer: then it is settled exactly from (p^k mod q^k) / q^k.  Either rounding may reach
     2^64, yielded as 2^64 - 1 with one ulp more: every mantissa is below 2^64, within err_ulps
     of frac(t^k) 2^64 as integers.  A step costs one ~W_0-bit m times a g-word power and one
@@ -399,11 +397,9 @@ def fixed_point_power_stream(t: Fraction, indices, hi: Fraction):
         m, inexact = _round_div(m * p_gap, den)
         err = -(-err * p_gap // den) + inexact
         if err < (wrapped := m & (one - 1)) < one - err:
-            s = FixedPointReal(wrapped, work, err).rescale(POWER_STREAM_FRAC_BITS)
+            frac, ulps = _round_shift(wrapped, err, work - POWER_STREAM_FRAC_BITS)
         else:  # frac(t^k) within err of an integer: settle it exactly
             q_k = q**target
-            exact, inexact = _round_div((p**target % q_k) << POWER_STREAM_FRAC_BITS, q_k)
-            s = FixedPointReal(exact, POWER_STREAM_FRAC_BITS, int(inexact))
-        if s.mantissa == 1 << POWER_STREAM_FRAC_BITS:  # rounded up to 1: clamp below it
-            s = FixedPointReal(s.mantissa - 1, POWER_STREAM_FRAC_BITS, s.err_ulps + 1)
-        yield s
+            frac, ulps = _round_div((p**target % q_k) << POWER_STREAM_FRAC_BITS, q_k)
+        up = frac == 1 << POWER_STREAM_FRAC_BITS  # rounded up to 1: clamp below it
+        yield FixedPointReal(frac - up, POWER_STREAM_FRAC_BITS, ulps + up)

@@ -612,16 +612,16 @@ class SeedBitSource:
         self.seed = seed
         self.max_bits = max_bits
 
-    def bits(self, count: int) -> list[int]:
+    def bits(self, count: int) -> np.ndarray:
         if count > self.max_bits:
             raise ValueError(f"refusing {count} bits (cap {self.max_bits})")
         if count < 1:
-            return []
+            return np.zeros(0, dtype=np.uint8)
         # the first `count` binary digits of p/q < 1, as one integer below 2^count
         digits = (self.seed.numerator << count) // self.seed.denominator
         nbytes = (count + 7) // 8
         packed = np.frombuffer(digits.to_bytes(nbytes, "big"), dtype=np.uint8)
-        return np.unpackbits(packed)[8 * nbytes - count :].tolist()
+        return np.unpackbits(packed)[8 * nbytes - count :]
 
 
 def default_bit_source(master_seed: int, bit_width: int = DEFAULT_SEED_BITS) -> SeedBitSource:
@@ -654,7 +654,7 @@ class GammaStream:
         if count == 0:
             return np.zeros(0)
         needed = gamma_index(count, self.bits_per_uniform)
-        bits = np.array(self.bit_source.bits(needed), dtype=np.uint8)
+        bits = np.asarray(self.bit_source.bits(needed), dtype=np.uint8)  # an array or a list
         table = self._index_grid(count) - 1
         # digit by digit over all uniforms at once: every uniform sees the
         # same sequence of float additions as a per-uniform loop would

@@ -28,30 +28,34 @@ from equidist.errors import IntervalWidthError, PrecisionBudgetError
 from equidist.generators import GeneratorSpec, _samples_at
 
 
+def _strong_probable_prime(n: int, a: int) -> bool:
+    # independent of the library's implementation on purpose; n odd
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
 def _reference_miller_rabin(n: int, rounds: int = 40) -> bool:
-    # independent of the library's implementation on purpose
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13):
         if n % p == 0:
             return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
     rng = random.Random(0xC0FFEE)
-    for _ in range(rounds):
-        a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return all(_strong_probable_prime(n, rng.randrange(2, n - 1)) for _ in range(rounds))
+
+
+# the deterministic bases below 2^64 before Sinclair's seven: the twelve primes up to 37
+PRIMES_TO_37 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class TestPrimality:
@@ -67,6 +71,37 @@ class TestPrimality:
     def test_mersenne_prime(self):
         assert is_probable_prime(2**61 - 1)
         assert not is_probable_prime(2**67 - 1)  # 193707721 * 761838257287
+
+    # Sinclair's bases 9780504 and 1795265022 are 0 mod these primes, and are skipped
+    @pytest.mark.parametrize("n", [407521, 299210837])
+    def test_prime_dividing_a_base(self, n):
+        assert any(a % n == 0 for a in arithmetic._MR_BASES_64)
+        assert is_probable_prime(n)
+
+    # strong pseudoprimes to the bases 2..11, 2..17 and 2..23, every factor past trial division
+    @pytest.mark.parametrize(
+        "factors",
+        [(6763, 10627, 29947), (10670053, 32010157), (149491, 747451, 34233211)],
+        ids=["2152302898747", "341550071728321", "3825123056546413051"],
+    )
+    def test_strong_pseudoprimes_rejected(self, factors):
+        n = math.prod(factors)
+        assert min(factors) > arithmetic._SMALL_PRIMES[-1]
+        assert all(_strong_probable_prime(n, a) for a in PRIMES_TO_37[:5])
+        assert not is_probable_prime(n)
+
+    def test_64_bit_verdicts_match_the_twelve_prime_bases(self):
+        rng = random.Random(64)
+        odd = [rng.getrandbits(rng.randrange(12, 65)) | 1 for _ in range(3000)]
+        primes = []
+        while len(primes) < 60:
+            if _reference_miller_rabin(cand := rng.getrandbits(32) | (1 << 31) | 1):
+                primes.append(cand)
+        semiprimes = [a * b for a, b in zip(primes[::2], primes[1::2])]  # past trial division
+        for n in odd + semiprimes:
+            if n > PRIMES_TO_37[-1]:
+                want = all(_strong_probable_prime(n, a) for a in PRIMES_TO_37)
+                assert is_probable_prime(n) == want, n
 
     def test_large_agreement_with_reference(self):
         rng = random.Random(31337)
@@ -128,9 +163,9 @@ class TestRoundCount:
         assert count_rounds == []
 
     def test_drawn_64_bit_prime_is_not_proved_again(self, count_rounds):
-        # below 2^64 the deterministic test runs its 12 witnesses once per drawn prime
+        # below 2^64 the deterministic test runs its 7 bases once per drawn prime
         seed = SeedSampler(7, bit_width=64).sample()
-        assert count_rounds.count(seed.denominator) == 12
+        assert count_rounds.count(seed.denominator) == 7
         del count_rounds[:]
         assert RationalSeed(seed.numerator, seed.denominator) == seed
         assert count_rounds == []
@@ -309,6 +344,28 @@ class TestFixedPointReal:
         assert (s.mantissa, s.frac_bits, s.err_ulps) == (m, 8, -(-err >> shift) + inexact)
 
     @given(
+        st.integers(-(2**90), 2**90),
+        st.integers(-(2**90), 2**90),
+        st.integers(0, 70),
+        st.integers(0, 2**40),
+        st.integers(0, 2**40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_mul_equals_round_div(self, x, y, f, ex, ey):
+        c = FixedPointReal(x, f, ex).mul(FixedPointReal(y, f, ey))
+        m, inexact = _round_div(x * y, 1 << f)
+        carried = abs(x) * ey + abs(y) * ex + ex * ey
+        assert (c.mantissa, c.frac_bits, c.err_ulps) == (m, f, -(-carried // (1 << f)) + inexact)
+
+    # the same width and frac_bits 0 round nothing: values as before rounding shared one helper
+    @pytest.mark.parametrize("x, err", [(0, 0), (5, 0), (-5, 3), (2**70 + 1, 2**33)])
+    def test_zero_shift_keeps_values(self, x, err):
+        a = FixedPointReal(x, 12, err)
+        assert a.rescale(12) == a
+        c = FixedPointReal(x, 0, err).mul(FixedPointReal(-7, 0, 2))
+        assert (c.mantissa, c.frac_bits, c.err_ulps) == (-7 * x, 0, 2 * abs(x) + 7 * err + 2 * err)
+
+    @given(
         st.fractions(min_value=0, max_value=4),
         st.fractions(min_value=0, max_value=4),
     )
@@ -344,6 +401,22 @@ class TestFixedPointPow:
                 continue
             r = fixed_point_pow(t, k)
             assert abs(r.mantissa - t**k * 2**r.frac_bits) <= r.err_ulps
+
+    # SHA-256 of the (mantissa, err_ulps) pairs, recorded when `mul` rounded by `_round_div`:
+    # six k in 2..1500 at each of four 256-bit seeds (the koksma_power benchmark's reads),
+    # a 64-bit seed, and (3/2)^k
+    def test_pinned_bytes(self):
+        one, two = Fraction(1), Fraction(2)
+        reads = [
+            (SeedSampler(master).sample((one, two)).value,
+             sorted(random.Random(f"fpp/{master}").sample(range(2, 1501), 6)))
+            for master in range(4)
+        ]
+        reads.append((SeedSampler(5, 64).sample((one, two)).value, [1, 2, 3, 64, 700, 1500]))
+        reads.append((Fraction(3, 2), [1, 2, 3, 63, 64, 65, 1000]))
+        pairs = [(r.mantissa, r.err_ulps) for t, ks in reads for r in (fixed_point_pow(t, k) for k in ks)]
+        digest = "5743a01ef7505eaec4defb3db70acfc258f7ac0c0d0125d6c443fc5d279f991d"
+        assert hashlib.sha256(repr(pairs).encode()).hexdigest() == digest
 
     def test_budget_error(self):
         with pytest.raises(PrecisionBudgetError):
@@ -436,13 +509,14 @@ class TestPowerStream:
         for k, s in enumerate(samples, start=1):
             assert _within_bound(s, t, k)
 
-    @pytest.mark.parametrize("last", [4, 10], ids=["settle", "rescale"])
-    def test_rounded_up_mantissa_stays_below_one(self, last):
+    @pytest.mark.parametrize("last, ulps", [(4, 2), (10, 3)], ids=["settle", "rescale"])
+    def test_rounded_up_mantissa_stays_below_one(self, last, ulps):
         # frac(t^2) = 1 - 3/p^2 rounds up to 2^64 at 64 bits: read to index 4 the exact
-        # settle rounds it, read to index 10 the rescale does; 0 would be 2^64 ulps off
+        # settle rounds it, read to index 10 the rescale does; 0 would be 2^64 ulps off.
+        # The clamp adds one ulp to the rounding's 1 or 2
         t = Fraction(3 * PELL_Q, PELL_P)
         s = list(fixed_point_power_stream(t, range(1, last + 1), Fraction(2)))[1]
-        assert s.mantissa == 2**64 - 1
+        assert (s.mantissa, s.err_ulps) == (2**64 - 1, ulps)
         assert _within_bound(s, t, 2)
 
     # SHA-256 of the (mantissa, err_ulps) pairs, recorded when the stream ran at one

@@ -535,6 +535,10 @@ RAISES = {
     "unknown-family": (lambda: GeneratorSpec("fibonacci"), ValueError, "unknown family"),
     "linear-descriptor": (lambda: GeneratorSpec("linear_integer"), ValueError,
                           "needs a coefficient descriptor"),
+    "koksma-no-interval": (lambda: GeneratorSpec("koksma"), ValueError,
+                           r"koksma needs an interval \(1, a\) with a > 1"),
+    "koksma-below-one": (lambda: GeneratorSpec("koksma", interval=(Fraction(1, 2), 2)), ValueError,
+                         r"koksma needs an interval \(1, a\) with a > 1"),
     # a parameter the family never reads: (5, 7) would be stored, and factorial with
     # power=3 would differ from GeneratorSpec.factorial() though both give one stream
     "interval-off-koksma": (lambda: GeneratorSpec("factorial", interval=(5, 7)), ValueError,

@@ -873,14 +873,15 @@ class TestBatchedWindowRows:
 class TestBitSources:
     def test_one_third_alternates(self):
         src = SeedBitSource(RationalSeed(1, 3, prime_denominator=True))
-        assert src.bits(8) == [0, 1, 0, 1, 0, 1, 0, 1]
+        got = src.bits(8)
+        assert got.dtype == np.uint8 and np.array_equal(got, [0, 1, 0, 1, 0, 1, 0, 1])
 
     def test_matches_fraction_digits(self):
         seed = SeedSampler(21, bit_width=48).sample()
         got = SeedBitSource(seed).bits(64)
         x = Fraction(seed.numerator, seed.denominator)
         want = [int(x * 2**j) % 2 for j in range(1, 65)]
-        assert got == want
+        assert np.array_equal(got, want)
 
     def test_matches_long_division(self):
         seed = SeedSampler(22, bit_width=256).sample()
@@ -890,7 +891,7 @@ class TestBitSources:
             r <<= 1
             want.append(r // q)
             r %= q
-        assert SeedBitSource(seed).bits(3000) == want
+        assert np.array_equal(SeedBitSource(seed).bits(3000), want)
 
     def test_rejects_seed_outside_unit_interval(self):
         with pytest.raises(ValueError):
@@ -975,7 +976,8 @@ class TestGammaStream:
             gamma_stream(_ListBits([]), -1, bits_per_uniform=1)
 
 
-# documented raises that no other test reaches: (call, exception type, reason)
+# documented raises and empty reads that no other test reaches: (call, exception type,
+# reason), or (call, None, the empty array the call returns)
 RAISES = {
     "koksma-coefficients": (lambda: c_of_m_scan(GeneratorSpec.koksma(), (1,)), ValueError,
                             "koksma has no integer coefficient sequence"),
@@ -983,10 +985,18 @@ RAISES = {
                             r"bit source needs a seed in \(0, 1\)"),
     "float-lag": (lambda: lemma2_decay_fit(FACTORIAL, D1, (1,), [1.5, 2], n_seeds=8), TypeError,
                   "cannot be interpreted as an integer"),
+    "bits-zero": (lambda: SeedBitSource(RationalSeed(1, 3)).bits(0), None,
+                  np.zeros(0, dtype=np.uint8)),
+    # a source of None: an empty read asks it for nothing
+    "uniforms-zero": (lambda: GammaStream(None).uniforms(0), None, np.zeros(0)),
 }
 
 
 @pytest.mark.parametrize("call, error, reason", RAISES.values(), ids=RAISES.keys())
 def test_documented_raises(call, error, reason):
+    if error is None:
+        got = call()
+        assert (got.dtype, got.shape) == (reason.dtype, reason.shape)
+        return
     with pytest.raises(error, match=reason):
         call()
