@@ -34,7 +34,8 @@ Power sequences t^k get a fixed-point carrier (`FixedPointReal`) whose error in 
 propagated, never reset; one helper, `_round_shift`, rounds it to fewer bits (`rescale`, `mul`
 and every koksma sample).  The koksma stream steps the seed between indices read by m <-
 round(m p^g / (q^g 2^(W_k - W_(k+g)))) on W_k = ceil((K - k) log2 hi) + 1 + guard bits, what
-later reads need: error at most 4 per step, one W_0-bit product and one division each.
+later reads need: error at most 4 per step, one W_0-bit product and one division each.  It
+yields each sample as an int pair, its 64-bit mantissa and err_ulps, not a `FixedPointReal`.
 """
 
 from __future__ import annotations
@@ -355,7 +356,8 @@ def fixed_point_pow(t, k: int) -> FixedPointReal:
 
 
 def fixed_point_power_stream(t: Fraction, indices, hi: Fraction):
-    """Yield frac(t^k) at strictly ascending indices k >= 1, error-tracked.
+    """Yield frac(t^k) at strictly ascending indices k >= 1 as int pairs (mantissa, err_ulps):
+    frac(t^k) 2^POWER_STREAM_FRAC_BITS within err_ulps of the mantissa.
 
     The exact seed t = p/q is stepped on a carrier that shrinks to what the reads left need:
     m ~ t^k 2^W_k, W_k = ceil((K - k) log2 hi) + 1 + POWER_STREAM_GUARD_BITS (K the last
@@ -402,4 +404,4 @@ def fixed_point_power_stream(t: Fraction, indices, hi: Fraction):
             q_k = q**target
             frac, ulps = _round_div((p**target % q_k) << POWER_STREAM_FRAC_BITS, q_k)
         up = frac == 1 << POWER_STREAM_FRAC_BITS  # rounded up to 1: clamp below it
-        yield FixedPointReal(frac - up, POWER_STREAM_FRAC_BITS, ulps + up)
+        yield frac - up, ulps + up

@@ -9,20 +9,24 @@ prime factor, so only prime k pay a full modular power pow(k, k, q).
 
 Every family is read through one indexed reader, `_samples_at`: it takes
 generator indices in any order, repeats allowed, and returns the samples
-in the caller's order, exact residues for the integer families and
-`FixedPointReal` values of frac(t^k) for koksma.  `residue_stream`,
-`beta_stream` and the float crossing `_scalars_at` are views over it.
+in the caller's order, exact residues for the integer families and the
+power stream's (mantissa, err_ulps) int pairs for koksma.  Samples leave the
+readers as columns: `_unit_samples_at` gives a `SampleStream` of generator indices,
+numerators over one denominator and koksma's err_ulps, and builds a `UnitSample` only
+for an item asked for.  `residue_stream`, `beta_stream` and the float crossing
+`_scalars_at` are views over it.
 
 Every sample is a ratio of integers in [0, 1) (`UnitSample.ratio`, `_ratios_at`):
 residue / q, or koksma's mantissa / 2^64, kept below 2^64 by the power stream.  Its
 phase word w = floor(2^64 r / q) is defined in integers by `_unit_words`, the tests'
-oracle.  `_words_at` builds a seed's words without a division: for an odd q,
-r 2^64 = w q + R with 0 <= R < q, so w = -R q^-1 mod 2^64 exactly (w < 2^64), and the
-walk run with the multiplier 2^64 p mod q (`_samples_at`'s `multiplier`; every exact
-family is linear in p) gives each R.  koksma and an even q take `_unit_words`.
-`_word_table` builds every windowed word table (`PhaseTable`) that Weyl scans and the
-Monte-Carlo engine read.  Floats come only from `unit_float`, one correct rounding
-clamped below 1, so a mantissa of 2^64 - 1 is 1 - 2^-53, not 1.0.
+oracle.  `_words_at` builds a seed's words without a division: koksma's word is its
+mantissa, and for an odd q, r 2^64 = w q + R with 0 <= R < q, so w = -R q^-1 mod 2^64
+exactly (w < 2^64), and the walk run with the multiplier 2^64 p mod q (`_samples_at`'s
+`multiplier`; every exact family is linear in p) gives each R.  An even q takes
+`_unit_words`.  `_word_table` builds every windowed word table (`PhaseTable`) that Weyl
+scans and the Monte-Carlo engine read.  Floats come only from `unit_float`, one correct
+rounding clamped below 1, so a mantissa of 2^64 - 1 is 1 - 2^-53, not 1.0; `_unit_floats`
+applies it to a column, over 2^64 as float(m) 2^-64, the same double.
 
 Multidimensional points come from two constructions over scalar streams,
 interleaved blocks over d independent seeds or windows over one stream
@@ -37,6 +41,7 @@ import itertools
 import math
 import numbers
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -273,6 +278,42 @@ def unit_float(numerator: int, denominator: int) -> float:
     return out
 
 
+def _unit_floats(numerators, denominator: int) -> np.ndarray:
+    """`unit_float` of each numerator over one denominator.  Over 2^64 (koksma) the column is
+    float(m) 2^-64, scaled and clamped below 1 as one array: int to float rounds correctly
+    and the scaling is exact, so each equals unit_float(m, 2^64)."""
+    if denominator == 1 << POWER_STREAM_FRAC_BITS:
+        floats = np.fromiter(map(float, numerators), dtype=float)
+        return np.minimum(np.ldexp(floats, -64), math.nextafter(1, 0))
+    return np.fromiter((unit_float(n, denominator) for n in numerators), dtype=float)
+
+
+@dataclass(frozen=True, eq=False)
+class SampleStream(Sequence):
+    """Samples as columns, read as a list of `UnitSample`s whose item i, built when asked
+    for, is numerators[i] over `denominator` at generator index indices[i]: a residue over
+    q, or koksma's mantissa over 2^64 within err_ulps[i] (None for an exact family).  A
+    slice is a `SampleStream` again."""
+
+    indices: Sequence
+    numerators: list
+    denominator: int
+    err_ulps: list | None = None
+
+    def __len__(self) -> int:
+        return len(self.numerators)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            errs = None if self.err_ulps is None else self.err_ulps[i]
+            return SampleStream(self.indices[i], self.numerators[i], self.denominator, errs)
+        if self.err_ulps is None:
+            return UnitSample(k=self.indices[i], residue=self.numerators[i],
+                              denominator=self.denominator)
+        fixed = FixedPointReal(self.numerators[i], POWER_STREAM_FRAC_BITS, self.err_ulps[i])
+        return UnitSample(k=self.indices[i], fixed=fixed)
+
+
 # -- scalar streams ------------------------------------------------------
 
 
@@ -281,7 +322,7 @@ def _samples_at(spec: GeneratorSpec, seed: RationalSeed, indices, multiplier=Non
 
     Indices k >= 1 may repeat and come in any order.  Integer-coefficient
     families give exact residues c_k * p mod q (beta_k = residue / q); koksma
-    gives frac(t^k) as a `FixedPointReal` of POWER_STREAM_FRAC_BITS bits, its
+    gives frac(t^k) as the power stream's (mantissa, err_ulps) int pairs, the
     mantissa below 2^64 the numerator over 2^64.  An integer family walks c_k * a mod q
     with a = `multiplier` in place of p when one is given (0 <= a < q); the seed
     p / q is still the one checked against the family interval.
@@ -399,12 +440,12 @@ def _indices_at(spec: GeneratorSpec, positions) -> list[int] | range:
     return [_descriptor_at(spec.permutation, i) for i in positions]
 
 
-def beta_stream(spec: GeneratorSpec, seed: RationalSeed, count: int) -> list[UnitSample]:
-    """First `count` unit-cube samples beta_k = x_k(t) mod 1.
+def beta_stream(spec: GeneratorSpec, seed: RationalSeed, count: int) -> SampleStream:
+    """First `count` unit-cube samples beta_k = x_k(t) mod 1, as one `SampleStream`.
 
-    Integer-coefficient families return exact residue samples.  The koksma
-    family returns fixed-point samples of POWER_STREAM_FRAC_BITS bits
-    carrying their own error bound; its index budget is capped by
+    Integer-coefficient families give exact residues over q.  The koksma
+    family gives mantissas of POWER_STREAM_FRAC_BITS bits over 2^64, each
+    with its own error bound; its index budget is capped by
     DEFAULT_MAX_POWER_STEPS and DEFAULT_MAX_WORK_BITS (see
     `fixed_point_power_stream`).
     """
@@ -413,15 +454,15 @@ def beta_stream(spec: GeneratorSpec, seed: RationalSeed, count: int) -> list[Uni
     return _unit_samples_at(spec, seed, range(1, count + 1))
 
 
-def _unit_samples_at(spec: GeneratorSpec, seed: RationalSeed, positions) -> list[UnitSample]:
-    """The samples at 1-based stream positions as `UnitSample`s, each carrying the
-    generator index `_indices_at` puts there."""
+def _unit_samples_at(spec: GeneratorSpec, seed: RationalSeed, positions) -> SampleStream:
+    """The samples at 1-based stream positions as one `SampleStream`, at the generator
+    indices `_indices_at` puts there."""
     indices = _indices_at(spec, positions)
     samples = _samples_at(spec, seed, indices)
     if spec.exact:
-        q = seed.denominator
-        return [UnitSample(k=k, residue=r, denominator=q) for k, r in zip(indices, samples)]
-    return [UnitSample(k=k, fixed=s) for k, s in zip(indices, samples)]
+        return SampleStream(indices, samples, seed.denominator)
+    mantissas, errs = [m for m, _ in samples], [e for _, e in samples]
+    return SampleStream(indices, mantissas, 1 << POWER_STREAM_FRAC_BITS, errs)
 
 
 # -- window constructions ------------------------------------------------
@@ -474,27 +515,25 @@ def interleaved_vectors(spec: GeneratorSpec, seeds, count: int) -> list[tuple[Un
 
 
 def residues_to_floats(residues, denominator: int) -> np.ndarray:
-    # streamed into the array, with no list of Python floats in between
-    return np.fromiter((unit_float(r, denominator) for r in residues), dtype=float)
+    return _unit_floats(residues, denominator)
 
 
 def _ratios_at(spec: GeneratorSpec, seed: RationalSeed, positions) -> tuple[list[int], int]:
     """Samples at 1-based stream positions, in any order, as numerators over one
     denominator: residues over q, or koksma's mantissas over 2^POWER_STREAM_FRAC_BITS."""
-    samples = _samples_at(spec, seed, _indices_at(spec, positions))
-    if spec.exact:
-        return samples, seed.denominator
-    return [s.mantissa for s in samples], 1 << POWER_STREAM_FRAC_BITS
+    stream = _unit_samples_at(spec, seed, positions)
+    return stream.numerators, stream.denominator
 
 
 def _scalars_at(spec: GeneratorSpec, seed: RationalSeed, positions) -> np.ndarray:
-    """Float samples at 1-based stream positions: the one place samples cross
-    into floats, one `unit_float` rounding of each ratio `_ratios_at` reads."""
+    """Float samples at 1-based stream positions, one `_unit_floats` rounding of each
+    ratio `_ratios_at` reads."""
     return residues_to_floats(*_ratios_at(spec, seed, positions))
 
 
-def stream_floats(stream) -> np.ndarray:
-    return np.array([s.as_float() for s in stream], dtype=float)
+def stream_floats(stream: SampleStream) -> np.ndarray:
+    """The floats of a stream's column (`_unit_floats`)."""
+    return _unit_floats(stream.numerators, stream.denominator)
 
 
 def windows_array(values: np.ndarray, cfg: WindowConfig, count: int | None = None) -> np.ndarray:
@@ -520,7 +559,7 @@ _WORD_MASK = (1 << 64) - 1
 
 def _unit_words(nums, dens) -> np.ndarray:
     """The phase words floor(2^64 frac(n / q)) of the ratios n / q, n any integer: the
-    definition and the tests' oracle, read for mixed denominators, koksma and an even q."""
+    definition and the tests' oracle, read for mixed denominators and an even q."""
     return np.fromiter(((n % q << 64) // q for n, q in zip(nums, dens)), dtype=np.uint64)
 
 
@@ -538,15 +577,18 @@ class PhaseTable(tuple):
 
 
 def _words_at(spec: GeneratorSpec, seed, positions) -> np.ndarray:
-    """The phase words `_unit_words` of the samples at 1-based stream positions.  For an odd
-    q, r 2^64 = w q + R (0 <= R < q) gives w = -R q^-1 mod 2^64, in wrapping uint64 arithmetic
-    on the R the walk gives with the multiplier 2^64 p mod q; koksma and an even q divide."""
+    """The phase words `_unit_words` of the samples at 1-based stream positions.  Koksma's
+    word is its mantissa, floor(2^64 m / 2^64) = m.  For an odd q, r 2^64 = w q + R
+    (0 <= R < q) gives w = -R q^-1 mod 2^64, in wrapping uint64 arithmetic on the R the walk
+    gives with the multiplier 2^64 p mod q; an even q divides."""
     q = seed.denominator
     if spec.exact and q & 1:
         rems = _samples_at(spec, seed, _indices_at(spec, positions), (seed.numerator << 64) % q)
         low = np.fromiter((r & _WORD_MASK for r in rems), dtype=np.uint64, count=len(rems))
         return low * np.uint64(_neg_inverse(q))
     nums, q = _ratios_at(spec, seed, positions)
+    if not spec.exact:
+        return np.array(nums, dtype=np.uint64)
     return _unit_words(nums, [q] * len(nums))
 
 
@@ -558,18 +600,17 @@ def _word_table(spec: GeneratorSpec, seed, cfg: WindowConfig, ks) -> PhaseTable:
 # -- stream files --------------------------------------------------------
 
 
-def export_stream_csv(path, stream) -> None:
-    """Stream snapshot: k,residue,denominator for exact samples, k,value else."""
-    stream = list(stream)
-    exact = all(s.exact for s in stream)
+def export_stream_csv(path, stream: SampleStream) -> None:
+    """Stream snapshot: k,residue,denominator for an exact stream, k,value (`_unit_floats`)
+    for koksma."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if exact:
+        if stream.err_ulps is None:
             writer.writerow(["k", "residue", "denominator"])
-            for s in stream:
-                writer.writerow([s.k, s.residue, s.denominator])
+            q = stream.denominator
+            writer.writerows([k, r, q] for k, r in zip(stream.indices, stream.numerators))
         else:
             writer.writerow(["k", "value"])
-            for s in stream:
-                writer.writerow([s.k, repr(s.as_float())])
+            floats = _unit_floats(stream.numerators, stream.denominator).tolist()
+            writer.writerows(zip(stream.indices, map(repr, floats)))
 

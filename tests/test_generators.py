@@ -16,6 +16,7 @@ from equidist.errors import StreamLengthError
 from equidist.generators import (
     ArithmeticIndices,
     GeneratorSpec,
+    SampleStream,
     UnitSample,
     WindowConfig,
     beta_stream,
@@ -195,8 +196,11 @@ class TestUnitSample:
         sample = UnitSample(k=1, fixed=top)
         assert sample.as_float() == below_one
         assert sample.ratio == (2**64 - 1, 2**64)
-        assert stream_floats([sample]).tolist() == [below_one]
-        monkeypatch.setattr(generators, "_samples_at", lambda spec, seed, indices: [top])
+        stream = SampleStream([1], [2**64 - 1], 2**64, [0])
+        assert stream[0] == sample
+        assert stream_floats(stream).tolist() == [below_one]
+        top_pair = [(top.mantissa, top.err_ulps)]
+        monkeypatch.setattr(generators, "_samples_at", lambda spec, seed, indices: top_pair)
         seed = RationalSeed(3, 2, interval=(Fraction(1), Fraction(2)))
         floats = _scalars_at(GeneratorSpec.koksma(), seed, [1])
         assert floats.tolist() == [below_one]
@@ -215,6 +219,101 @@ class TestUnitSample:
         assert stream_floats(stream)[1] == below_one
         assert _scalars_at(spec, seed, [2]).tolist() == [below_one]
         assert _words_at(spec, seed, [2]).tolist() == [2**64 - 1]
+
+
+BELOW_ONE = math.nextafter(1.0, 0.0)
+COLUMN_SPECS = [
+    GeneratorSpec.factorial(),
+    GeneratorSpec.multiplicative(3).permuted(range(40, 0, -1)),
+    GeneratorSpec.koksma(),
+    GeneratorSpec.koksma(Fraction(5, 2)).permuted(ArithmeticIndices(2, 3)),
+]
+COLUMN_IDS = ["factorial", "mult3-permuted", "koksma", "koksma-5/2-permuted"]
+
+
+class TestKoksmaColumn:
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_floats_are_unit_floats(self, mantissas):
+        want = np.array([unit_float(m, 2**64) for m in mantissas], dtype=float)
+        assert generators._unit_floats(mantissas, 2**64).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "m, want",
+        [
+            (0, 0.0),
+            (2**53 + 1, 2.0**-11),  # a tie below 2^53 + 2: to the even 2^53
+            (2**63 + 2**10, 0.5),  # a tie: to the even 2^63
+            (2**63 + 3 * 2**10, 0.5 + 2.0**-52),  # a tie: to the even 2^63 + 2^12
+            (2**64 - 2**10, BELOW_ONE),  # a tie: to the even 2^64, so 1.0, clamped
+            (2**64 - 1, BELOW_ONE),
+        ],
+    )
+    def test_ties_and_edges(self, m, want):
+        assert unit_float(m, 2**64) == want
+        assert generators._unit_floats([m], 2**64).tolist() == [want]
+        assert stream_floats(SampleStream([1], [m], 2**64, [0])).tolist() == [want]
+
+    def test_words_are_the_unit_words(self):
+        shuffled = list(range(1, 90))
+        random.Random(5).shuffle(shuffled)
+        layouts = (range(1, 90), list(range(3, 300, 7)), [9, 2, 9, 9, 1, 2], shuffled, [])
+        for spec in COLUMN_SPECS[2:]:
+            seed = SeedSampler(5, bit_width=64).sample(spec.seed_interval())
+            for positions in layouts:
+                nums, q = generators._ratios_at(spec, seed, positions)
+                want = generators._unit_words(nums, [q] * len(nums))
+                assert q == 2**64 and _words_at(spec, seed, positions).tobytes() == want.tobytes()
+
+
+class TestSampleStream:
+    @pytest.mark.parametrize("spec", COLUMN_SPECS, ids=COLUMN_IDS)
+    def test_reads_as_the_list_of_its_samples(self, spec):
+        seed = SeedSampler(19, bit_width=64).sample(spec.seed_interval())
+        stream = beta_stream(spec, seed, 40)
+        indices = generators._indices_at(spec, range(1, 41))
+        samples = _samples_at(spec, seed, indices)
+        if spec.exact:
+            want = [UnitSample(k=k, residue=r, denominator=seed.denominator)
+                    for k, r in zip(indices, samples)]
+        else:
+            want = [UnitSample(k=k, fixed=FixedPointReal(m, 64, err))
+                    for k, (m, err) in zip(indices, samples)]
+        assert isinstance(stream, SampleStream) and len(stream) == 40
+        assert (stream.err_ulps is None) == spec.exact
+        assert list(stream) == want
+        assert [stream[i] for i in range(-40, 40)] == want + want
+        for cut in (slice(None), slice(3, 17), slice(-5, None), slice(None, None, -3),
+                    slice(2, 39, 4), slice(50, 60)):
+            assert isinstance(stream[cut], SampleStream) and list(stream[cut]) == want[cut]
+        for i in (40, -41):
+            with pytest.raises(IndexError):
+                stream[i]
+        assert stream_floats(stream).tolist() == [s.as_float() for s in want]
+        assert stream_floats(stream[5:9]).tolist() == [s.as_float() for s in want[5:9]]
+
+    def test_slices_keep_the_columns_aligned(self):
+        # distinct entries in every column: a real stream's err_ulps are mostly all 2
+        stream = SampleStream(range(11, 21), list(range(100, 110)), 2**64, list(range(10)))
+        for cut in (slice(2, 9, 3), slice(None, None, -2), slice(-4, None)):
+            got = [(s.k, s.fixed.mantissa, s.fixed.err_ulps) for s in stream[cut]]
+            assert got == [(11 + i, 100 + i, i) for i in range(10)[cut]]
+
+    def test_probe_carries_the_stream_error(self):
+        spec = GeneratorSpec.koksma()
+        seed = SeedSampler(7).sample(spec.seed_interval())
+        stream = beta_stream(spec, seed, 300)
+        p, q = seed.numerator, seed.denominator
+        for k in (1, 150, 300):
+            fixed = stream[k - 1].fixed
+            assert fixed == FixedPointReal(stream.numerators[k - 1], 64, stream.err_ulps[k - 1])
+            assert abs(fixed.mantissa * q**k - ((p**k % q**k) << 64)) <= fixed.err_ulps * q**k
+
+    @pytest.mark.parametrize("spec", COLUMN_SPECS[::2], ids=COLUMN_IDS[::2])
+    def test_empty(self, spec):
+        seed = SeedSampler(3, bit_width=64).sample(spec.seed_interval())
+        stream = beta_stream(spec, seed, 0)
+        assert len(stream) == 0 and list(stream) == [] and stream_floats(stream).size == 0
 
 
 class TestWindows:
@@ -483,7 +582,8 @@ class TestResidueStream:
                 got = _scalars_at(spec, seed, positions)
                 assert got.tobytes() == floats[np.array(positions, dtype=int) - 1].tobytes()
                 indices = [stream[i - 1].k for i in positions]
-                assert _samples_at(spec, seed, indices) == [stream[i - 1].fixed for i in positions]
+                pairs = [(stream[i - 1].fixed.mantissa, stream[i - 1].fixed.err_ulps) for i in positions]
+                assert _samples_at(spec, seed, indices) == pairs
 
     def test_floats_match_values(self):
         seed = SeedSampler(23, bit_width=64).sample()

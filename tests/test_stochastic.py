@@ -377,6 +377,18 @@ class TestDelCriterion:
         res = del_criterion(FACTORIAL, D1, (1,), 27, n_seeds=4)
         assert res.checkpoints == (26, 27)
 
+    def test_middle_decade_share_is_inconclusive(self, monkeypatch):
+        # |S_n|^2 = n on every seed: the series sums n^-2 from n = 26, and its last
+        # decade, n = 201..2000, holds 11.6 percent of it, between 5 and 25
+        def crafted(spec, cfg, m, columns, n_seeds, *rest):
+            return np.sqrt(np.broadcast_to(columns + 1.0, (n_seeds, len(columns))))
+
+        monkeypatch.setattr(stochastic, "_seed_table", crafted)
+        res = del_criterion(FACTORIAL, D1, (1,), 2000, n_seeds=4)
+        assert res.verdicts["del_series"] == "inconclusive"
+        share = sum(n**-2 for n in range(201, 2001)) / sum(n**-2 for n in range(26, 2001))
+        assert res.details["last_decade_ratio"] == pytest.approx(share)
+
 
 class TestLemma2:
     def test_degenerate_control_is_flat(self):
@@ -459,6 +471,21 @@ class TestLemma3:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             lemma3_check(FACTORIAL, D1, (1,), 3)
+
+    @pytest.mark.parametrize(
+        "moment, verdict",
+        [(0.0, "pass"), (0.05, "inconclusive"), (0.125, "inconclusive"), (0.25, "fail")],
+    )
+    def test_verdict_follows_the_largest_excess(self, moment, verdict, monkeypatch):
+        # every seed reads Re(Y_k conj Y_l) = moment, so each far pair's estimate is
+        # 2 moment with stderr 0: an excess in (0, 0.25] is inconclusive
+        def crafted(spec, cfg, m, columns, n_seeds, *rest):
+            return np.full((n_seeds, len(columns)), complex(moment, 0.5))
+
+        monkeypatch.setattr(stochastic, "_seed_table", crafted)
+        check = lemma3_check(KOKSMA, D1, (1,), 100, n_seeds=4, n_pairs=8, bit_width=64)
+        assert check.verdict == verdict
+        assert check.empirical_max == 2 * moment
 
     @pytest.mark.parametrize("spec", [FACTORIAL, GeneratorSpec.koksma()], ids=["exact", "koksma"])
     def test_n_pairs_must_be_positive(self, spec):
@@ -547,6 +574,7 @@ class TestSeedEngine:
             raise AssertionError("a sample crossed into a float")
 
         monkeypatch.setattr(generators, "unit_float", refuse)
+        monkeypatch.setattr(generators, "_unit_floats", refuse)
         entry(WindowConfig(d=2, h=1, o=1), n_seeds=4, master_seed=5)
 
 
