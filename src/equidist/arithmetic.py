@@ -30,12 +30,14 @@ bases from an rng keyed on n, so the first t bases are those of the 48-round
 test and a different prime is drawn only if a composite passes them.  Each
 proved prime is remembered, so the seed built from it is not proved again.
 
-Power sequences t^k get a fixed-point carrier (`FixedPointReal`) whose error in ulps is
-propagated, never reset; one helper, `_round_shift`, rounds it to fewer bits (`rescale`, `mul`
-and every koksma sample).  The koksma stream steps the seed between indices read by m <-
+Power sequences t^k are carried in fixed point as int pairs (mantissa, err_ulps): the value
+mantissa 2^-f within err_ulps units of 2^-f, the error propagated, never reset.  One helper,
+`_round_shift`, rounds a pair to fewer bits (`_round_mul`'s products, `fixed_point_pow` and
+every koksma sample).  The koksma stream steps the seed between indices read by m <-
 round(m p^g / (q^g 2^(W_k - W_(k+g)))) on W_k = ceil((K - k) log2 hi) + 1 + guard bits, what
-later reads need: error at most 4 per step, one W_0-bit product and one division each.  It
-yields each sample as an int pair, its 64-bit mantissa and err_ulps, not a `FixedPointReal`.
+later reads need: error at most 4 per step, one W_0-bit product and one division each.  A
+`FixedPointReal` is built only where the public API hands one out (`fixed_point_pow`,
+`generators.UnitSample.fixed`).
 """
 
 from __future__ import annotations
@@ -271,15 +273,17 @@ def _round_shift(x: int, err: int, s: int) -> tuple[int, int]:
     return (x + (1 << s >> 1)) >> s, -(-err >> s) + (x & ((1 << s) - 1) != 0)
 
 
+def _round_mul(a: int, ea: int, b: int, eb: int, f: int) -> tuple[int, int]:
+    """The product of two f-bit pairs (a, ea) and (b, eb), rounded back to f bits by
+    `_round_shift`, carrying |a| eb + |b| ea + ea eb, the error the operands bring."""
+    return _round_shift(a * b, abs(a) * eb + abs(b) * ea + ea * eb, f)
+
+
 @dataclass(frozen=True)
 class FixedPointReal:
-    """Value mantissa * 2^-frac_bits with a propagated worst-case error.
-
-    err_ulps bounds |represented - true| in units of 2^-frac_bits for the
-    quantity the instance stands for.  Every operation grows the bound by
-    its own contribution; nothing ever resets it.  A zero bound certifies
-    the dyadic value is exact.
-    """
+    """Value mantissa * 2^-frac_bits within err_ulps units of 2^-frac_bits of the quantity
+    it stands for; a zero bound certifies the dyadic value is exact.  The package computes
+    on (mantissa, err_ulps) int pairs and builds one only to hand it out."""
 
     mantissa: int
     frac_bits: int
@@ -291,30 +295,8 @@ class FixedPointReal:
         if self.err_ulps < 0:
             raise ValueError("err_ulps must be nonnegative")
 
-    @classmethod
-    def from_fraction(cls, value: Fraction, frac_bits: int) -> "FixedPointReal":
-        value = _as_fraction(value)
-        m, inexact = _round_div(value.numerator << frac_bits, value.denominator)
-        return cls(m, frac_bits, 1 if inexact else 0)
-
     def to_float(self) -> float:
         return self.mantissa / (1 << self.frac_bits)
-
-    def mul(self, other: "FixedPointReal") -> "FixedPointReal":
-        if other.frac_bits != self.frac_bits:
-            raise ValueError("operands must share frac_bits")
-        carried = (
-            abs(self.mantissa) * other.err_ulps
-            + abs(other.mantissa) * self.err_ulps
-            + self.err_ulps * other.err_ulps
-        )
-        m, err = _round_shift(self.mantissa * other.mantissa, carried, self.frac_bits)
-        return FixedPointReal(m, self.frac_bits, err)
-
-    def rescale(self, frac_bits: int) -> "FixedPointReal":
-        """Round to frac_bits <= self.frac_bits (`_round_shift`)."""
-        m, err = _round_shift(self.mantissa, self.err_ulps, self.frac_bits - frac_bits)
-        return FixedPointReal(m, frac_bits, err)
 
     def frac(self) -> "FixedPointReal":
         """Fractional part of the represented value, its error bound kept mod 1 only:
@@ -328,11 +310,11 @@ class FixedPointReal:
 def fixed_point_pow(t, k: int) -> FixedPointReal:
     """t^k for an exact rational t > 1, to POWER_STREAM_FRAC_BITS bits with error.
 
-    t is quantized once at W = POWER_STREAM_FRAC_BITS + k*lg + 32 fractional
-    bits (lg an integer bound on log2 t) and raised by square-and-multiply
-    (`FixedPointReal.mul`), so the rounding accumulated over the chain stays
-    below one output ulp.  Raises PrecisionBudgetError when W would exceed
-    DEFAULT_MAX_WORK_BITS.
+    t is quantized once (`_round_div`) at W = POWER_STREAM_FRAC_BITS + k*lg + 32 fractional
+    bits (lg an integer bound on log2 t), raised by square-and-multiply on int pairs
+    (`_round_mul`) and rounded once to the output width (`_round_shift`), so the rounding
+    accumulated over the chain stays below one output ulp.  Raises PrecisionBudgetError
+    when W would exceed DEFAULT_MAX_WORK_BITS.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -347,12 +329,15 @@ def fixed_point_pow(t, k: int) -> FixedPointReal:
             f"k={k} at ~{lg} integer bits per power needs {work} working bits, "
             f"cap is {DEFAULT_MAX_WORK_BITS}"
         )
-    base = acc = FixedPointReal.from_fraction(t, work)
+    base, inexact = _round_div(t.numerator << work, t.denominator)
+    base_err = int(inexact)
+    m, err = base, base_err
     for bit in bin(k)[3:]:
-        acc = acc.mul(acc)
+        m, err = _round_mul(m, err, m, err, work)
         if bit == "1":
-            acc = acc.mul(base)
-    return acc.rescale(POWER_STREAM_FRAC_BITS)
+            m, err = _round_mul(m, err, base, base_err, work)
+    m, err = _round_shift(m, err, work - POWER_STREAM_FRAC_BITS)
+    return FixedPointReal(m, POWER_STREAM_FRAC_BITS, err)
 
 
 def fixed_point_power_stream(t: Fraction, indices, hi: Fraction):

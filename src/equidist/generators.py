@@ -13,20 +13,21 @@ in the caller's order, exact residues for the integer families and the
 power stream's (mantissa, err_ulps) int pairs for koksma.  Samples leave the
 readers as columns: `_unit_samples_at` gives a `SampleStream` of generator indices,
 numerators over one denominator and koksma's err_ulps, and builds a `UnitSample` only
-for an item asked for.  `residue_stream`, `beta_stream` and the float crossing
-`_scalars_at` are views over it.
+for an item asked for.  `residue_stream`, `beta_stream`, the phase words `_words_at` and
+the float crossing `_scalars_at` are views over it.
 
-Every sample is a ratio of integers in [0, 1) (`UnitSample.ratio`, `_ratios_at`):
-residue / q, or koksma's mantissa / 2^64, kept below 2^64 by the power stream.  Its
-phase word w = floor(2^64 r / q) is defined in integers by `_unit_words`, the tests'
-oracle.  `_words_at` builds a seed's words without a division: koksma's word is its
-mantissa, and for an odd q, r 2^64 = w q + R with 0 <= R < q, so w = -R q^-1 mod 2^64
-exactly (w < 2^64), and the walk run with the multiplier 2^64 p mod q (`_samples_at`'s
-`multiplier`; every exact family is linear in p) gives each R.  An even q takes
-`_unit_words`.  `_word_table` builds every windowed word table (`PhaseTable`) that Weyl
-scans and the Monte-Carlo engine read.  Floats come only from `unit_float`, one correct
+Every sample is a ratio of integers in [0, 1), a numerator over its stream's one denominator
+(`UnitSample.ratio` for one row): residue / q, or koksma's mantissa / 2^64, kept below 2^64
+by the power stream.  Its phase word w = floor(2^64 r / q) is defined in integers by
+`_unit_words`, the tests' oracle.  `_words_at` builds a seed's words without a division:
+koksma's word is its mantissa, and for an odd q, r 2^64 = w q + R with 0 <= R < q, so
+w = -R q^-1 mod 2^64 exactly (w < 2^64), and the walk run with the multiplier 2^64 p mod q
+(`_samples_at`'s `multiplier`; every exact family is linear in p) gives each R.  An even q
+takes `_unit_words`.  `_word_table` builds every windowed word table (`PhaseTable`) that
+Weyl scans and the Monte-Carlo engine read.  Floats come only from `unit_float`, one correct
 rounding clamped below 1, so a mantissa of 2^64 - 1 is 1 - 2^-53, not 1.0; `_unit_floats`
-applies it to a column, over 2^64 as float(m) 2^-64, the same double.
+applies it to a column, over 2^64 as float(m) 2^-64, the same double, and `stream_floats`
+to a stream's, the crossing `_scalars_at` and the CSV writer take.
 
 Multidimensional points come from two constructions over scalar streams,
 interleaved blocks over d independent seeds or windows over one stream
@@ -49,10 +50,10 @@ import numpy as np
 
 from .arithmetic import (
     POWER_STREAM_FRAC_BITS,
+    FixedPointReal,
     RationalSeed,
     _as_interval,
     fixed_point_power_stream,
-    FixedPointReal,
 )
 from .errors import StreamLengthError
 
@@ -221,47 +222,47 @@ class WindowConfig:
 
 @dataclass(frozen=True)
 class UnitSample:
-    """One point of [0, 1): exact residue/denominator or fixed-point carrier.
+    """One point numerator / denominator of [0, 1): an exact residue over q, or koksma's
+    mantissa over 2^64 within err_ulps ulps (None for an exact sample).
 
     k is the generator index the sample came from (not the output position;
     the two differ under a permutation wrapper).
     """
 
     k: int
-    residue: int | None = None
-    denominator: int | None = None
-    fixed: FixedPointReal | None = None
+    numerator: int
+    denominator: int
+    err_ulps: int | None = None
 
     def __post_init__(self):
-        has_exact = self.residue is not None or self.denominator is not None
-        if has_exact == (self.fixed is not None):
-            raise ValueError("exactly one carrier (residue/denominator or fixed)")
-        if has_exact:
-            if self.residue is None or self.denominator is None:
-                raise ValueError("residue and denominator go together")
-            if not 0 <= self.residue < self.denominator:
-                raise ValueError("residue out of range")
-        elif not 0 <= self.fixed.mantissa < 1 << self.fixed.frac_bits:  # `ratio` is in [0, 1)
-            raise ValueError("fixed-point sample outside [0, 1)")
+        if not 0 <= self.numerator < self.denominator:
+            raise ValueError("numerator outside [0, denominator)")
+        if self.err_ulps is not None and self.err_ulps < 0:
+            raise ValueError("err_ulps must be nonnegative")
+        if self.err_ulps is not None and self.denominator & (self.denominator - 1):
+            raise ValueError("err_ulps needs a power-of-two denominator")
 
     @property
     def exact(self) -> bool:
-        return self.residue is not None
+        return self.err_ulps is None
+
+    @property
+    def fixed(self) -> FixedPointReal | None:
+        """A koksma sample as a `FixedPointReal` (frac_bits 64), built when read; None for
+        an exact one."""
+        f = self.denominator.bit_length() - 1
+        return None if self.exact else FixedPointReal(self.numerator, f, self.err_ulps)
 
     @property
     def ratio(self) -> tuple[int, int]:
-        """The sample as (numerator, denominator): (residue, q) or koksma's
-        (mantissa, 2^frac_bits)."""
-        if self.exact:
-            return self.residue, self.denominator
-        return self.fixed.mantissa, 1 << self.fixed.frac_bits
+        return self.numerator, self.denominator
 
     @property
     def value(self) -> Fraction:
-        return Fraction(*self.ratio)
+        return Fraction(self.numerator, self.denominator)
 
     def as_float(self) -> float:
-        return unit_float(*self.ratio)
+        return unit_float(self.numerator, self.denominator)
 
 
 def unit_float(numerator: int, denominator: int) -> float:
@@ -304,14 +305,9 @@ class SampleStream(Sequence):
         return len(self.numerators)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            errs = None if self.err_ulps is None else self.err_ulps[i]
-            return SampleStream(self.indices[i], self.numerators[i], self.denominator, errs)
-        if self.err_ulps is None:
-            return UnitSample(k=self.indices[i], residue=self.numerators[i],
-                              denominator=self.denominator)
-        fixed = FixedPointReal(self.numerators[i], POWER_STREAM_FRAC_BITS, self.err_ulps[i])
-        return UnitSample(k=self.indices[i], fixed=fixed)
+        errs = None if self.err_ulps is None else self.err_ulps[i]
+        row = SampleStream if isinstance(i, slice) else UnitSample
+        return row(self.indices[i], self.numerators[i], self.denominator, errs)
 
 
 # -- scalar streams ------------------------------------------------------
@@ -419,14 +415,15 @@ def residue_stream(
 ) -> tuple[list[int], int]:
     """Exact residues of the first `count` outputs plus the denominator.
 
-    The residues are `_ratios_at` the stream's positions, so a permutation
-    wrapper evaluates the inner family at the rewired indices.
+    The residues are the numerators `_unit_samples_at` the stream's positions,
+    so a permutation wrapper evaluates the inner family at the rewired indices.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     if not spec.exact:
         raise ValueError("koksma has no exact residue path; use beta_stream")
-    return _ratios_at(spec, seed, range(1, count + 1))
+    stream = _unit_samples_at(spec, seed, range(1, count + 1))
+    return stream.numerators, stream.denominator
 
 
 def _indices_at(spec: GeneratorSpec, positions) -> list[int] | range:
@@ -518,17 +515,10 @@ def residues_to_floats(residues, denominator: int) -> np.ndarray:
     return _unit_floats(residues, denominator)
 
 
-def _ratios_at(spec: GeneratorSpec, seed: RationalSeed, positions) -> tuple[list[int], int]:
-    """Samples at 1-based stream positions, in any order, as numerators over one
-    denominator: residues over q, or koksma's mantissas over 2^POWER_STREAM_FRAC_BITS."""
-    stream = _unit_samples_at(spec, seed, positions)
-    return stream.numerators, stream.denominator
-
-
 def _scalars_at(spec: GeneratorSpec, seed: RationalSeed, positions) -> np.ndarray:
-    """Float samples at 1-based stream positions, one `_unit_floats` rounding of each
-    ratio `_ratios_at` reads."""
-    return residues_to_floats(*_ratios_at(spec, seed, positions))
+    """Float samples at 1-based stream positions, in any order: the `stream_floats` of
+    the samples `_unit_samples_at` reads there."""
+    return stream_floats(_unit_samples_at(spec, seed, positions))
 
 
 def stream_floats(stream: SampleStream) -> np.ndarray:
@@ -586,10 +576,10 @@ def _words_at(spec: GeneratorSpec, seed, positions) -> np.ndarray:
         rems = _samples_at(spec, seed, _indices_at(spec, positions), (seed.numerator << 64) % q)
         low = np.fromiter((r & _WORD_MASK for r in rems), dtype=np.uint64, count=len(rems))
         return low * np.uint64(_neg_inverse(q))
-    nums, q = _ratios_at(spec, seed, positions)
+    stream = _unit_samples_at(spec, seed, positions)
     if not spec.exact:
-        return np.array(nums, dtype=np.uint64)
-    return _unit_words(nums, [q] * len(nums))
+        return np.array(stream.numerators, dtype=np.uint64)
+    return _unit_words(stream.numerators, [q] * len(stream))
 
 
 def _word_table(spec: GeneratorSpec, seed, cfg: WindowConfig, ks) -> PhaseTable:
@@ -601,7 +591,7 @@ def _word_table(spec: GeneratorSpec, seed, cfg: WindowConfig, ks) -> PhaseTable:
 
 
 def export_stream_csv(path, stream: SampleStream) -> None:
-    """Stream snapshot: k,residue,denominator for an exact stream, k,value (`_unit_floats`)
+    """Stream snapshot: k,residue,denominator for an exact stream, k,value (`stream_floats`)
     for koksma."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -611,6 +601,6 @@ def export_stream_csv(path, stream: SampleStream) -> None:
             writer.writerows([k, r, q] for k, r in zip(stream.indices, stream.numerators))
         else:
             writer.writerow(["k", "value"])
-            floats = _unit_floats(stream.numerators, stream.denominator).tolist()
+            floats = stream_floats(stream).tolist()
             writer.writerows(zip(stream.indices, map(repr, floats)))
 

@@ -166,16 +166,20 @@ class TestBetaStreams:
 
 class TestUnitSample:
     def test_exact_carrier(self):
-        s = UnitSample(k=1, residue=2, denominator=5)
-        assert s.exact and s.value == Fraction(2, 5)
+        s = UnitSample(k=1, numerator=2, denominator=5)
+        assert s.exact and s.value == Fraction(2, 5) and s.ratio == (2, 5)
+        assert s.fixed is None and s.err_ulps is None
 
-    def test_residue_range(self):
-        with pytest.raises(ValueError):
-            UnitSample(k=1, residue=5, denominator=5)
+    def test_koksma_carrier(self):
+        s = UnitSample(k=3, numerator=3 * 2**62, denominator=2**64, err_ulps=2)
+        assert not s.exact and s.value == Fraction(3, 4) and s.as_float() == 0.75
+        assert s.fixed == FixedPointReal(3 * 2**62, 64, 2)
+        assert s.fixed.frac_bits == 64
 
-    def test_exactly_one_carrier(self):
-        with pytest.raises(ValueError):
-            UnitSample(k=1)
+    @pytest.mark.parametrize("numerator", [5, -1])
+    def test_residue_range(self, numerator):
+        with pytest.raises(ValueError, match=r"numerator outside \[0, denominator\)"):
+            UnitSample(k=1, numerator=numerator, denominator=5)
 
     def test_unit_float_correct_rounding(self):
         q = (1 << 61) - 1
@@ -190,16 +194,15 @@ class TestUnitSample:
 
     def test_koksma_crossing_clamps_below_one(self, monkeypatch):
         # a 64-bit mantissa of 2^64 - 1 rounds to 1.0 as a double
-        top = FixedPointReal(2**64 - 1, 64)
-        assert top.to_float() == 1.0
+        sample = UnitSample(k=1, numerator=2**64 - 1, denominator=2**64, err_ulps=0)
+        assert sample.fixed.to_float() == 1.0
         below_one = math.nextafter(1.0, 0.0)
-        sample = UnitSample(k=1, fixed=top)
         assert sample.as_float() == below_one
         assert sample.ratio == (2**64 - 1, 2**64)
         stream = SampleStream([1], [2**64 - 1], 2**64, [0])
         assert stream[0] == sample
         assert stream_floats(stream).tolist() == [below_one]
-        top_pair = [(top.mantissa, top.err_ulps)]
+        top_pair = [(2**64 - 1, 0)]
         monkeypatch.setattr(generators, "_samples_at", lambda spec, seed, indices: top_pair)
         seed = RationalSeed(3, 2, interval=(Fraction(1), Fraction(2)))
         floats = _scalars_at(GeneratorSpec.koksma(), seed, [1])
@@ -261,7 +264,8 @@ class TestKoksmaColumn:
         for spec in COLUMN_SPECS[2:]:
             seed = SeedSampler(5, bit_width=64).sample(spec.seed_interval())
             for positions in layouts:
-                nums, q = generators._ratios_at(spec, seed, positions)
+                stream = generators._unit_samples_at(spec, seed, positions)
+                nums, q = stream.numerators, stream.denominator
                 want = generators._unit_words(nums, [q] * len(nums))
                 assert q == 2**64 and _words_at(spec, seed, positions).tobytes() == want.tobytes()
 
@@ -274,11 +278,9 @@ class TestSampleStream:
         indices = generators._indices_at(spec, range(1, 41))
         samples = _samples_at(spec, seed, indices)
         if spec.exact:
-            want = [UnitSample(k=k, residue=r, denominator=seed.denominator)
-                    for k, r in zip(indices, samples)]
+            want = [UnitSample(k, r, seed.denominator) for k, r in zip(indices, samples)]
         else:
-            want = [UnitSample(k=k, fixed=FixedPointReal(m, 64, err))
-                    for k, (m, err) in zip(indices, samples)]
+            want = [UnitSample(k, m, 2**64, err) for k, (m, err) in zip(indices, samples)]
         assert isinstance(stream, SampleStream) and len(stream) == 40
         assert (stream.err_ulps is None) == spec.exact
         assert list(stream) == want
@@ -492,6 +494,22 @@ class TestStreamSerialization:
         assert lines[0] == "k,value"
         assert float(lines[3].split(",")[1]) == 0.375
 
+    def test_koksma_csv_crosses_through_stream_floats(self, tmp_path, monkeypatch):
+        # the one counted float crossing: the writer takes its floats from one call
+        seed = SeedSampler(4, bit_width=64).sample(GeneratorSpec.koksma().seed_interval())
+        stream = beta_stream(GeneratorSpec.koksma(), seed, 50)
+        calls = []
+
+        def counted(s):
+            calls.append(len(s))
+            return stream_floats(s)
+
+        monkeypatch.setattr(generators, "stream_floats", counted)
+        export_stream_csv(tmp_path / "stream.csv", stream)
+        assert calls == [50]
+        rows = (tmp_path / "stream.csv").read_text().splitlines()[1:]
+        assert rows == [f"{s.k},{s.as_float()!r}" for s in stream]
+
 
 class TestResidueStream:
     @given(st.integers(min_value=0, max_value=10**6))
@@ -649,9 +667,14 @@ RAISES = {
                                 "weyl_power takes no base"),
     "coefficients-off-linear": (lambda: GeneratorSpec("koksma", interval=(1, 2), coefficients=(1,)),
                                 ValueError, "koksma takes no coefficients"),
-    "fixed-above-one": (lambda: UnitSample(k=1, fixed=FixedPointReal(2**64, 64)), ValueError,
-                        r"fixed-point sample outside \[0, 1\)"),
-    "residue-alone": (lambda: UnitSample(k=1, residue=1), ValueError, "go together"),
+    "fixed-above-one": (lambda: UnitSample(1, 2**64, 2**64, 0), ValueError,
+                        r"numerator outside \[0, denominator\)"),
+    "fixed-err-negative": (lambda: UnitSample(1, 1, 2**64, -1), ValueError,
+                           "err_ulps must be nonnegative"),
+    "fixed-odd-denominator": (lambda: UnitSample(1, 1, 3, 0), ValueError,
+                              "err_ulps needs a power-of-two denominator"),
+    "fixed-even-denominator": (lambda: UnitSample(1, 1, 2**64 + 2, 1), ValueError,
+                               "err_ulps needs a power-of-two denominator"),
     "residue-count": (lambda: residue_stream(GeneratorSpec.factorial(), FIFTH, -1), ValueError,
                       "count must be nonnegative"),
     "residue-koksma": (lambda: residue_stream(GeneratorSpec.koksma(), KOKSMA_SEED, 3), ValueError,

@@ -9,15 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equidist.arithmetic import FixedPointReal, RationalSeed, SeedSampler
+from equidist.arithmetic import RationalSeed, SeedSampler
 from equidist.generators import (
     GeneratorSpec,
     PhaseTable,
     UnitSample,
     WindowConfig,
     _neg_inverse,
-    _ratios_at,
     _read_windows,
+    _unit_samples_at,
     _unit_words,
     _word_table,
     _words_at,
@@ -109,10 +109,8 @@ def _fraction_phases(points, m) -> np.ndarray:
     for vec in points:
         total = Fraction(0)
         for c, s in zip(m, vec):
-            if isinstance(s, UnitSample) and s.exact:
-                s = Fraction(s.residue, s.denominator)
-            elif isinstance(s, UnitSample):
-                s = Fraction(s.fixed.frac().mantissa, 1 << s.fixed.frac_bits)
+            if isinstance(s, UnitSample):
+                s = Fraction(s.numerator, s.denominator)
             total += c * Fraction(s)
         total -= math.floor(total)
         out.append(unit_float(total.numerator, total.denominator))
@@ -159,8 +157,8 @@ def _fraction_points(n=300):
 
 
 def _edge_points():
-    top = UnitSample(k=1, fixed=FixedPointReal(2**64 - 1, 64))
-    third = UnitSample(k=2, residue=1, denominator=3)
+    top = UnitSample(k=1, numerator=2**64 - 1, denominator=2**64, err_ulps=0)
+    third = UnitSample(k=2, numerator=1, denominator=3)
     return [(top, third, Fraction(1, 2)), (top, top, top), (third, 1, top)]
 
 
@@ -177,14 +175,14 @@ EXACT_POINTS = {
 
 class TestWeylSum:
     def test_single_quarter_point(self):
-        points = [(UnitSample(k=1, residue=1, denominator=4),)]
+        points = [(UnitSample(k=1, numerator=1, denominator=4),)]
         series = weyl_sum(points, (1,))
         assert series.checkpoints == (1,)
         assert abs(series.values[0] - 1j) < 1e-15
 
     def test_geometric_small_case(self):
         # t = 1/8, N = 4: sum of e(k/8) has closed form -1 + i(1 + sqrt 2)
-        points = [(UnitSample(k=k, residue=k % 8, denominator=8),) for k in range(1, 5)]
+        points = [(UnitSample(k=k, numerator=k % 8, denominator=8),) for k in range(1, 5)]
         got = weyl_sum(points, (1,)).values[0]
         want = complex(-1.0, 1.0 + math.sqrt(2)) / 4
         assert abs(got - want) < 1e-15
@@ -223,7 +221,7 @@ class TestWeylSum:
 
     def test_mixed_float_and_exact_coordinates(self):
         # a float next to an exact sample takes the exact path in either order
-        third = UnitSample(k=1, residue=1, denominator=3)
+        third = UnitSample(k=1, numerator=1, denominator=3)
         for point in ((0.1, third), (third, 0.1)):
             (phase,) = _fraction_phases([point], (1, 1))
             want = complex(math.cos(2 * math.pi * phase), math.sin(2 * math.pi * phase))
@@ -432,9 +430,10 @@ COMPOSITE_Q = 3**41 * 5**3 * 11  # odd, composite, above 2^64
 
 
 def _defining_words(spec, seed, positions) -> np.ndarray:
-    """The oracle: `_unit_words`, the division floor(2^64 r / q), of `_ratios_at`."""
-    nums, q = _ratios_at(spec, seed, positions)
-    return _unit_words(nums, [q] * len(nums))
+    """The oracle: `_unit_words`, the division floor(2^64 r / q), of the samples'
+    numerators over their one denominator."""
+    stream = _unit_samples_at(spec, seed, positions)
+    return _unit_words(stream.numerators, [stream.denominator] * len(stream))
 
 
 class TestDivisionFreeWords:
