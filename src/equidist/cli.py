@@ -217,16 +217,6 @@ def _write_report(cfg: RunConfig, payload: dict, csv_rows=None, csv_header=None)
     return path
 
 
-def _series_payload(scan) -> dict:
-    out = {}
-    for m, series in sorted(scan.series.items(), key=lambda kv: kv[0].components):
-        out[str(m.components)] = {
-            "checkpoints": list(series.checkpoints),
-            "magnitudes": [float(v) for v in series.magnitudes],
-        }
-    return out
-
-
 # -- commands ----------------------------------------------------------------
 
 
@@ -267,23 +257,23 @@ def cmd_weyl(cfg: RunConfig) -> str | None:
     scan = criterion_scan(spec, seed, cfg.window(), cfg.m_radius, cfg.n_max)
     flagged = scan.flagged(cfg.flag_threshold)
     verdict = "refuted" if flagged else "pass"
+    series, rows = {}, []
+    for m, ws in sorted(scan.series.items(), key=lambda kv: kv[0].components):
+        cps, mags = list(ws.checkpoints), ws.magnitudes
+        series[str(m.components)] = {"checkpoints": cps, "magnitudes": mags}
+        rows += [(" ".join(map(str, m.components)), n, v) for n, v in zip(cps, mags)]
     payload = {
         "seed": [str(s) for s in seed] if interleaved else str(seed),
-        "series": _series_payload(scan),
+        "series": series,
         "worst_m": list(scan.worst_m.components),
         "worst_final_magnitude": scan.worst_final_magnitude,
         "flag_threshold": cfg.flag_threshold,
         "flagged": [list(m.components) for m in flagged],
         "verdict": verdict,
     }
-    rows = []
-    for m, series in sorted(scan.series.items(), key=lambda kv: kv[0].components):
-        for n, mag in zip(series.checkpoints, series.magnitudes):
-            rows.append((" ".join(map(str, m.components)), n, float(mag)))
     _write_report(cfg, payload, rows, ("m", "N", "magnitude"))
     for m in flagged:
-        final = scan.series[m].final_magnitude
-        print(f"flagged m={m} |W_N|={final:.6f}")
+        print(f"flagged m={m} |W_N|={scan.series[m].final_magnitude:.6f}")
     print(f"weyl scan verdict: {verdict} (worst m={scan.worst_m}, |W_N|={scan.worst_final_magnitude:.6f})")
     return verdict
 

@@ -5,8 +5,9 @@ oracle enumerates every corner candidate built from sample coordinates
 plus 1.0 and evaluates both the open and the closed count at each, which
 captures the supremum over anchored boxes from both sides including tied
 coordinates; it is meant as ground truth for small instances, so its size
-is capped.  The Erdos-Turan-Koksma inequality turns any lattice of Weyl
-sums into an upper bound valid in every dimension.
+is capped.  All three check their points by `weyl._unit_floats`, the one
+float check, which rejects a NaN.  The Erdos-Turan-Koksma inequality
+turns any lattice of Weyl sums into an upper bound valid in every dimension.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CompletenessError
-from .weyl import WeylSeries, multi_indices
+from .weyl import WeylSeries, _unit_floats, multi_indices
 
 ORACLE_MAX_POINTS = 64
 ORACLE_MAX_DIM = 3
@@ -33,26 +34,25 @@ class DiscrepancyResult:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
-        if self.value < 0:
-            raise ValueError("discrepancy cannot be negative")
+        if not self.value >= 0:  # a NaN too
+            raise ValueError(f"discrepancy must be >= 0, got {self.value}")
         # A Weyl-sum upper bound may exceed 1 (then it is vacuously true);
         # actual discrepancies cannot.
         if self.kind != "etk_upper_bound" and self.value > 1:
             raise ValueError(f"{self.kind} value {self.value} exceeds 1")
 
 
-def _unit_values(points) -> np.ndarray:
-    xs = np.asarray(points, dtype=float)
-    if xs.size == 0:
-        raise ValueError("need at least one point")
-    if np.any(xs < 0) or np.any(xs >= 1):
-        raise ValueError("points must lie in [0, 1)")
-    return xs
+def _sorted_1d(points) -> np.ndarray:
+    """The sorted coordinates of 1-D points, shaped (N,) or (N, 1)."""
+    xs = _unit_floats(points)
+    if xs.shape[1:] not in ((), (1,)):
+        raise ValueError(f"1-D discrepancy takes (N,) or (N, 1) points, got shape {xs.shape}")
+    return np.sort(xs.ravel())
 
 
 def star_discrepancy_1d(points) -> DiscrepancyResult:
     """Exact D*_N over anchored intervals [0, b), closed form on sorted data."""
-    xs = np.sort(_unit_values(points).ravel())
+    xs = _sorted_1d(points)
     n = xs.size
     i = np.arange(1, n + 1)
     over = i / n - xs  # closed count i at box touching x_(i)
@@ -70,7 +70,7 @@ def star_discrepancy_1d(points) -> DiscrepancyResult:
 
 def extreme_discrepancy_1d(points) -> DiscrepancyResult:
     """Exact D_N over arbitrary subintervals [a, b)."""
-    xs = np.sort(_unit_values(points).ravel())
+    xs = _sorted_1d(points)
     n = xs.size
     diffs = np.arange(1, n + 1) / n - xs
     hi = int(np.argmax(diffs))
@@ -91,7 +91,7 @@ def star_discrepancy_oracle(points) -> DiscrepancyResult:
     count/N - volume arithmetic, matching the closed forms bit for bit in
     one dimension.
     """
-    xs = _unit_values(points)
+    xs = _unit_floats(points)
     if xs.ndim == 1:
         xs = xs[:, None]
     n, d = xs.shape

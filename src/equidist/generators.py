@@ -410,19 +410,12 @@ def _ascending(values) -> bool:
     return all(map(operator.lt, values, itertools.islice(values, 1, None)))
 
 
-def residue_stream(
-    spec: GeneratorSpec, seed: RationalSeed, count: int
-) -> tuple[list[int], int]:
-    """Exact residues of the first `count` outputs plus the denominator.
-
-    The residues are the numerators `_unit_samples_at` the stream's positions,
-    so a permutation wrapper evaluates the inner family at the rewired indices.
-    """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+def residue_stream(spec: GeneratorSpec, seed: RationalSeed, count: int) -> tuple[list[int], int]:
+    """Exact residues of the first `count` outputs plus the denominator: the columns of
+    `beta_stream`, so a permutation wrapper reads the inner family at the rewired indices."""
     if not spec.exact:
         raise ValueError("koksma has no exact residue path; use beta_stream")
-    stream = _unit_samples_at(spec, seed, range(1, count + 1))
+    stream = beta_stream(spec, seed, count)
     return stream.numerators, stream.denominator
 
 

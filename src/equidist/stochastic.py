@@ -562,7 +562,7 @@ def lemma3_check(
     c_hat = empirical_max * math.log(n) ** 2
     implied = n + n**1.5 + c_hat * n**2 / math.log(n) ** 2
     excess = abs_mean - 4.0 * stderr
-    if float(np.max(excess)) <= 0.0 or (spec.exact and empirical_max == 0.0):
+    if float(np.max(excess)) <= 0.0:
         verdict = "pass"
     elif float(np.max(excess)) > 0.25:
         verdict = "fail"
@@ -584,17 +584,17 @@ def lemma3_check(
 # -- i.i.d. uniform baseline ---------------------------------------------------
 
 
-def gamma_index(i: int, j: int) -> int:
+def gamma_index(i, j):
     """Source-bit index feeding binary digit j of uniform i.
 
     Antidiagonal i + j - 1 = n of the (i, j) grid maps onto the block
     (T_{n-1}, T_n] of triangular numbers, so every source bit is used
     exactly once and each uniform consumes an infinite disjoint subset.
+    Takes ints of any size, or int arrays that broadcast (an `np.ogrid`).
     """
-    if i < 1 or j < 1:
+    if np.any(np.less(i, 1)) or np.any(np.less(j, 1)):
         raise ValueError("indices start at 1")
-    n = i + j - 1
-    return n * (n + 1) // 2 - (i - 1)
+    return (i + j - 1) * (i + j) // 2 - (i - 1)
 
 
 class SeedBitSource:
@@ -641,9 +641,8 @@ class GammaStream:
             raise ValueError("bits_per_uniform must be positive")
 
     def _index_grid(self, count: int) -> np.ndarray:
-        """gamma_index(i, j) over i <= count, j <= bits_per_uniform, in its closed form."""
-        i, j = np.ogrid[1 : count + 1, 1 : self.bits_per_uniform + 1]
-        return (i + j - 1) * (i + j) // 2 - (i - 1)
+        """gamma_index(i, j) over i <= count, j <= bits_per_uniform."""
+        return gamma_index(*np.ogrid[1 : count + 1, 1 : self.bits_per_uniform + 1])
 
     def index_table(self, count: int) -> list[list[int]]:
         return self._index_grid(count).tolist()

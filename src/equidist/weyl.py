@@ -8,14 +8,15 @@ m . beta_k are constant, and m is a degenerate direction for the family.
 
 Numerical contract.  A phase is a uint64 u standing for u / 2^64 mod 1, and
 e(phase) has one kernel (`_unit_circle`).  Each coordinate x has one phase word
-floor(2^64 frac(x)), less than a unit of 2^-64 below it: float rows as floor(x 2^64),
-exact samples (UnitSample, rationals) from their ratio in integers, as `generators`
-defines, builds and derives them (`_unit_words`, `_words_at`); `criterion_scan` and the
-Monte-Carlo engine read `generators._word_table`, and this module turns words into
-terms and sums.  The phase of m . x_k, the wraparound sum of m_j times the words, is
-thus within ||m||_1 units of the exact one, in [-sum_{m_j > 0} m_j, sum_{m_j < 0} |m_j|]:
-an identity M x_k = x_{k+1} gives phases within M units of 0, e() with a real part of
-exactly 1.0, and |W_N| = 1.
+floor(2^64 frac(x)), less than a unit of 2^-64 below it: float rows as floor(x 2^64)
+once `_unit_floats`, the one check of float points, passes them (some point, every
+coordinate in [0, 1), a NaN rejected), exact samples (UnitSample, rationals) from their
+ratio in integers, as `generators` defines, builds and derives them (`_unit_words`,
+`_words_at`); `criterion_scan` and the Monte-Carlo engine read `generators._word_table`,
+and this module turns words into terms and sums.  The phase of m . x_k, the wraparound
+sum of m_j times the words, is thus within ||m||_1 units of the exact one, in
+[-sum_{m_j > 0} m_j, sum_{m_j < 0} |m_j|]: an identity M x_k = x_{k+1} gives phases
+within M units of 0, e() with a real part of exactly 1.0, and |W_N| = 1.
 e() is within 2.3e-16 per part (2.2e-16 measured against a 200-bit reference,
 where cos/sin of a rounded float phase were off by up to 1.0e-15).  Sums run over
 segments (between checkpoints, at most 2^13 terms) combined by Neumaier accumulation;
@@ -217,16 +218,22 @@ def _term_chunks(columns: list, n: int):
         yield a, _unit_circle(u)
 
 
+def _unit_floats(points) -> np.ndarray:
+    """The one float-point check: some points, each coordinate in [0, 1) (a NaN is not)."""
+    xs = np.asarray(points, dtype=float)
+    if not (xs.size and xs.min() >= 0.0 and xs.max() < 1.0):
+        raise ValueError("float points must lie in [0, 1)" if xs.size else "no points")
+    return xs
+
+
 def _phase_columns(points, m: MultiIndex) -> tuple[list, int]:
     """The (weight, words) pairs `_term_chunks` sums for m, and the point count, of a
-    `PhaseTable`, a float (N, d) array in [0, 1), or a list of points read through each
-    coordinate's exact ratio (`UnitSample.ratio`, or a number's, floats too)."""
+    `PhaseTable`, a float (N, d) array (`_unit_floats`), or a list of points read through
+    each coordinate's exact ratio (`UnitSample.ratio`, or a number's, floats too)."""
     if isinstance(points, np.ndarray):
         if points.ndim != 2 or points.shape[1] != m.d:
             raise ValueError("expected a (N, d) float array")
-        if points.size and not (points.min() >= 0.0 and points.max() < 1.0):
-            raise ValueError("float points must lie in [0, 1)")
-        points = PhaseTable(np.ldexp(points, 64).astype(np.uint64).T)
+        points = PhaseTable(np.ldexp(_unit_floats(points), 64).astype(np.uint64).T)
     elif not isinstance(points, PhaseTable):
         points = list(points)
         if any(len(vec) != m.d for vec in points):
@@ -237,6 +244,8 @@ def _phase_columns(points, m: MultiIndex) -> tuple[list, int]:
         points = PhaseTable(words.reshape(-1, m.d).T)
     if m.d != len(points):
         raise ValueError(f"m = {m} does not match the table's dimension {len(points)}")
+    if not len(points[0]):
+        raise ValueError("no points")
     return [(c, w) for c, w in zip(m.components, points) if c], len(points[0])
 
 

@@ -15,7 +15,7 @@ from equidist.discrepancy import (
 )
 from equidist.errors import CompletenessError
 from equidist.generators import GeneratorSpec, WindowConfig
-from equidist.weyl import MultiIndex, WeylSeries, criterion_scan
+from equidist.weyl import MultiIndex, WeylSeries, criterion_scan, weyl_sum
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, width=64)
 
@@ -162,7 +162,40 @@ class TestEtkBound:
         assert values[-1] < values[0]
 
 
+# the one float-point check, `weyl._unit_floats`, behind every discrepancy and the float rows
+# of weyl_sum: the same ValueError for a NaN coordinate in each
+NAN_CALLS = {
+    "star-1d": lambda: star_discrepancy_1d([0.25, float("nan"), 0.75]),
+    "extreme-1d": lambda: extreme_discrepancy_1d([0.25, float("nan"), 0.75]),
+    "oracle": lambda: star_discrepancy_oracle([(0.25, 0.5), (float("nan"), 0.75)]),
+    "weyl-sum": lambda: weyl_sum(np.array([[0.25, 0.5], [0.5, float("nan")]]), (1, 1)),
+}
+
+
+@pytest.mark.parametrize("call", NAN_CALLS.values(), ids=NAN_CALLS.keys())
+def test_nan_coordinate_raises(call):
+    with pytest.raises(ValueError, match=r"float points must lie in \[0, 1\)"):
+        call()
+
+
+class TestOneDimensionalShape:
+    @pytest.mark.parametrize("fn", [star_discrepancy_1d, extreme_discrepancy_1d])
+    def test_column_matches_flat(self, fn):
+        xs = [0.1, 0.9, 0.5, 0.3]
+        assert fn(np.array(xs)[:, None]) == fn(xs)
+
+    @pytest.mark.parametrize("fn", [star_discrepancy_1d, extreme_discrepancy_1d])
+    def test_rejects_points_of_two_coordinates(self, fn):
+        # two 2-D points, not four numbers (flattened, they would give D*_N = 0.25)
+        with pytest.raises(ValueError, match=r"got shape \(2, 2\)"):
+            fn([[0.1, 0.9], [0.5, 0.3]])
+
+
 class TestResultType:
+    def test_nan_value_raises(self):
+        with pytest.raises(ValueError, match=r"must be >= 0, got nan"):
+            DiscrepancyResult("star_exact_1d", float("nan"))
+
     def test_kind_validation(self):
         with pytest.raises(ValueError):
             DiscrepancyResult("bogus", 0.5)

@@ -772,6 +772,28 @@ class TestGammaIndex:
         with pytest.raises(ValueError):
             gamma_index(1, 0)
 
+    @pytest.mark.parametrize("count, bits", [(1, 1), (5, 3), (9, 32), (64, 16)])
+    def test_ogrid_is_the_scalar_form(self, count, bits):
+        i, j = np.ogrid[1 : count + 1, 1 : bits + 1]
+        got = gamma_index(i, j)
+        assert got.shape == (count, bits)
+        for a, b in np.ndindex(got.shape):
+            assert got[a, b] == gamma_index(a + 1, b + 1)
+
+    def test_array_holding_a_zero_raises(self):
+        # every entry is checked, not the array's truth value
+        with pytest.raises(ValueError, match="indices start at 1"):
+            gamma_index(np.arange(3)[:, None], np.arange(1, 4))
+        with pytest.raises(ValueError, match="indices start at 1"):
+            gamma_index(np.arange(1, 4)[:, None], np.arange(3))
+        with pytest.raises(ValueError, match="indices start at 1"):
+            gamma_index(np.array([0]), 1)
+
+    def test_scalar_beyond_int64(self):
+        i = 2**64 + 3
+        n = i + 4
+        assert gamma_index(i, 5) == n * (n + 1) // 2 - (i - 1)
+
     def test_injective_on_large_grid(self):
         seen = {gamma_index(i, j) for i in range(1, 301) for j in range(1, 301)}
         assert len(seen) == 300 * 300

@@ -728,6 +728,10 @@ RAISES = {
                     "point dimension does not match"),
     "table-width": (lambda: weyl_sum(PhaseTable([np.zeros(3, np.uint64)] * 2), (1,)),
                     ValueError, "does not match the table's dimension 2"),
+    "no-points-list": (lambda: weyl_sum([], (1, 1)), ValueError, "no points"),
+    "no-points-array": (lambda: weyl_sum(np.zeros((0, 2)), (1, 1)), ValueError, "no points"),
+    "no-points-table": (lambda: weyl_sum(PhaseTable([np.zeros(0, np.uint64)]), (1,)),
+                        ValueError, "no points"),
     "degenerate-weyl": (lambda: degenerate_m_weyl(0), ValueError, "p must be at least 1"),
     "degenerate-multiplicative": (lambda: degenerate_m_multiplicative(1), ValueError,
                                   "base must be at least 2"),
