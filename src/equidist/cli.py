@@ -273,7 +273,8 @@ def cmd_weyl(cfg: RunConfig) -> str | None:
     }
     _write_report(cfg, payload, rows, ("m", "N", "magnitude"))
     for m in flagged:
-        print(f"flagged m={m} |W_N|={scan.series[m].final_magnitude:.6f}")
+        final = scan.series[m].final_magnitude
+        print(f"flagged m={m} |W_N|={final:.6f}")
     print(f"weyl scan verdict: {verdict} (worst m={scan.worst_m}, |W_N|={scan.worst_final_magnitude:.6f})")
     return verdict
 
@@ -290,22 +291,19 @@ def cmd_discrepancy(cfg: RunConfig) -> str | None:
     cps = checkpoint_grid(cfg.n_max)
     seeds = _draw(cfg, spec, cfg.n_seeds)
     mat = np.array([_star_row(spec, cps, s) for s in seeds])  # (n_seeds, n_cps)
-    med = np.median(mat, axis=0)
-    q10 = np.quantile(mat, 0.1, axis=0)
-    q90 = np.quantile(mat, 0.9, axis=0)
+    med = np.median(mat, axis=0).tolist()
+    q10 = np.quantile(mat, 0.1, axis=0).tolist()
+    q90 = np.quantile(mat, 0.9, axis=0).tolist()
     payload = {
-        "star_median": [float(v) for v in med],
-        "star_q10": [float(v) for v in q10],
-        "star_q90": [float(v) for v in q90],
+        "star_median": med,
+        "star_q10": q10,
+        "star_q90": q90,
         "final_fraction_below_005": float(np.mean(mat[:, -1] <= 0.05)),
     }
-    rows = [
-        (n, float(a), float(b), float(c))
-        for n, a, b, c in zip(cps, med, q10, q90)
-    ]
+    rows = list(zip(cps, med, q10, q90))
     written = _write_report(cfg, payload, rows, ("N", "median", "q10", "q90"))
     print(
-        f"D* trend over {cfg.n_seeds} seeds: final median {float(med[-1]):.5f}"
+        f"D* trend over {cfg.n_seeds} seeds: final median {med[-1]:.5f}"
         + (f" (report: {written})" if written else "")
     )
 

@@ -5,7 +5,7 @@ oracle enumerates every corner candidate built from sample coordinates
 plus 1.0 and evaluates both the open and the closed count at each, which
 captures the supremum over anchored boxes from both sides including tied
 coordinates; it is meant as ground truth for small instances, so its size
-is capped.  All three check their points by `weyl._unit_floats`, the one
+is capped.  All three check their points by `weyl._float_points`, the one
 float check, which rejects a NaN.  The Erdos-Turan-Koksma inequality
 turns any lattice of Weyl sums into an upper bound valid in every dimension.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CompletenessError
-from .weyl import WeylSeries, _unit_floats, multi_indices
+from .weyl import WeylSeries, _float_points, multi_indices
 
 ORACLE_MAX_POINTS = 64
 ORACLE_MAX_DIM = 3
@@ -44,7 +44,7 @@ class DiscrepancyResult:
 
 def _sorted_1d(points) -> np.ndarray:
     """The sorted coordinates of 1-D points, shaped (N,) or (N, 1)."""
-    xs = _unit_floats(points)
+    xs = _float_points(points)
     if xs.shape[1:] not in ((), (1,)):
         raise ValueError(f"1-D discrepancy takes (N,) or (N, 1) points, got shape {xs.shape}")
     return np.sort(xs.ravel())
@@ -91,7 +91,7 @@ def star_discrepancy_oracle(points) -> DiscrepancyResult:
     count/N - volume arithmetic, matching the closed forms bit for bit in
     one dimension.
     """
-    xs = _unit_floats(points)
+    xs = _float_points(points)
     if xs.ndim == 1:
         xs = xs[:, None]
     n, d = xs.shape
@@ -101,24 +101,19 @@ def star_discrepancy_oracle(points) -> DiscrepancyResult:
             f"got N={n}, d={d}"
         )
     coords = [np.concatenate([np.unique(xs[:, i]), [1.0]]) for i in range(d)]
-    lt = [coords[i][:, None] > xs[None, :, i] for i in range(d)]
-    le = [coords[i][:, None] >= xs[None, :, i] for i in range(d)]
     letters = "abc"[:d]
     expr = ",".join(f"{c}n" for c in letters) + "->" + letters
-    open_counts = np.einsum(expr, *[x.astype(float) for x in lt])
-    closed_counts = np.einsum(expr, *[x.astype(float) for x in le])
     vol = coords[0]
     for i in range(1, d):
         vol = np.multiply.outer(vol, coords[i])
-    dev_open = np.abs(open_counts / n - vol)
-    dev_closed = np.abs(closed_counts / n - vol)
-    io = np.unravel_index(np.argmax(dev_open), dev_open.shape)
-    ic = np.unravel_index(np.argmax(dev_closed), dev_closed.shape)
-    if dev_closed[ic] >= dev_open[io]:
-        box = tuple(float(coords[i][ic[i]]) for i in range(d))
-        return DiscrepancyResult("star_oracle", float(dev_closed[ic]), (box, "closed"))
-    box = tuple(float(coords[i][io[i]]) for i in range(d))
-    return DiscrepancyResult("star_oracle", float(dev_open[io]), (box, "open"))
+    best = None  # (deviation, box, side); closed first, so a tie keeps the closed box
+    for side, inside in (("closed", np.greater_equal), ("open", np.greater)):
+        hits = [inside(coords[i][:, None], xs[None, :, i]).astype(float) for i in range(d)]
+        dev = np.abs(np.einsum(expr, *hits) / n - vol)
+        at = np.unravel_index(np.argmax(dev), dev.shape)
+        if best is None or dev[at] > best[0]:
+            best = (float(dev[at]), tuple(float(coords[i][at[i]]) for i in range(d)), side)
+    return DiscrepancyResult("star_oracle", best[0], best[1:])
 
 
 def etk_bound(series, radius: int, n: int) -> DiscrepancyResult:

@@ -410,9 +410,14 @@ def _ascending(values) -> bool:
     return all(map(operator.lt, values, itertools.islice(values, 1, None)))
 
 
-def residue_stream(spec: GeneratorSpec, seed: RationalSeed, count: int) -> tuple[list[int], int]:
-    """Exact residues of the first `count` outputs plus the denominator: the columns of
-    `beta_stream`, so a permutation wrapper reads the inner family at the rewired indices."""
+def residue_stream(
+    spec: GeneratorSpec, seed: RationalSeed, count: int
+) -> tuple[list[int], int]:
+    """Exact residues of the first `count` outputs plus the denominator.
+
+    They are the columns of `beta_stream`, so a permutation wrapper reads the
+    inner family at the rewired indices.
+    """
     if not spec.exact:
         raise ValueError("koksma has no exact residue path; use beta_stream")
     stream = beta_stream(spec, seed, count)

@@ -9,7 +9,7 @@ m . beta_k are constant, and m is a degenerate direction for the family.
 Numerical contract.  A phase is a uint64 u standing for u / 2^64 mod 1, and
 e(phase) has one kernel (`_unit_circle`).  Each coordinate x has one phase word
 floor(2^64 frac(x)), less than a unit of 2^-64 below it: float rows as floor(x 2^64)
-once `_unit_floats`, the one check of float points, passes them (some point, every
+once `_float_points`, the one check of float points, passes them (some point, every
 coordinate in [0, 1), a NaN rejected), exact samples (UnitSample, rationals) from their
 ratio in integers, as `generators` defines, builds and derives them (`_unit_words`,
 `_words_at`); `criterion_scan` and the Monte-Carlo engine read `generators._word_table`,
@@ -218,22 +218,24 @@ def _term_chunks(columns: list, n: int):
         yield a, _unit_circle(u)
 
 
-def _unit_floats(points) -> np.ndarray:
+def _float_points(points) -> np.ndarray:
     """The one float-point check: some points, each coordinate in [0, 1) (a NaN is not)."""
     xs = np.asarray(points, dtype=float)
-    if not (xs.size and xs.min() >= 0.0 and xs.max() < 1.0):
-        raise ValueError("float points must lie in [0, 1)" if xs.size else "no points")
+    if not xs.size:
+        raise StreamLengthError("no points")
+    if not (xs.min() >= 0.0 and xs.max() < 1.0):
+        raise ValueError("float points must lie in [0, 1)")
     return xs
 
 
 def _phase_columns(points, m: MultiIndex) -> tuple[list, int]:
     """The (weight, words) pairs `_term_chunks` sums for m, and the point count, of a
-    `PhaseTable`, a float (N, d) array (`_unit_floats`), or a list of points read through
+    `PhaseTable`, a float (N, d) array (`_float_points`), or a list of points read through
     each coordinate's exact ratio (`UnitSample.ratio`, or a number's, floats too)."""
     if isinstance(points, np.ndarray):
         if points.ndim != 2 or points.shape[1] != m.d:
             raise ValueError("expected a (N, d) float array")
-        points = PhaseTable(np.ldexp(_unit_floats(points), 64).astype(np.uint64).T)
+        points = PhaseTable(np.ldexp(_float_points(points), 64).astype(np.uint64).T)
     elif not isinstance(points, PhaseTable):
         points = list(points)
         if any(len(vec) != m.d for vec in points):
@@ -245,7 +247,7 @@ def _phase_columns(points, m: MultiIndex) -> tuple[list, int]:
     if m.d != len(points):
         raise ValueError(f"m = {m} does not match the table's dimension {len(points)}")
     if not len(points[0]):
-        raise ValueError("no points")
+        raise StreamLengthError("no points")
     return [(c, w) for c, w in zip(m.components, points) if c], len(points[0])
 
 
@@ -270,8 +272,8 @@ def _checkpoint_values(ends: list, sums: np.ndarray, cps: tuple) -> np.ndarray:
 
 def weyl_sum(points, m, checkpoints=None) -> WeylSeries:
     """W_N(m) at the checkpoints (`_checkpoints`; N alone by default, one beyond N raises
-    StreamLengthError) for a phase table, float rows or exact points; a non-canonical m
-    is computed on -m and conjugated, so W_N(-m) == conj(W_N(m))."""
+    StreamLengthError, as zero points do) for a phase table, float rows or exact points; a
+    non-canonical m is computed on -m and conjugated, so W_N(-m) == conj(W_N(m))."""
     m = as_multi_index(m)
     if not m.canonical:
         return weyl_sum(points, -m, checkpoints).conjugate()

@@ -77,6 +77,10 @@ class TestOracle:
         assert res.value == 0.75
         assert res.witness == ((0.5, 0.5), "closed")
 
+    def test_tie_keeps_the_closed_box(self):
+        # [0, 0.5] holds the point and [0, 0.5) does not: both miss by 1/2
+        assert star_discrepancy_oracle([0.5]).witness == ((0.5,), "closed")
+
     def test_product_lattice_2d(self):
         pts = [(a, b) for a in (0.25, 0.75) for b in (0.25, 0.75)]
         assert star_discrepancy_oracle(pts).value == 0.4375
@@ -162,7 +166,7 @@ class TestEtkBound:
         assert values[-1] < values[0]
 
 
-# the one float-point check, `weyl._unit_floats`, behind every discrepancy and the float rows
+# the one float-point check, `weyl._float_points`, behind every discrepancy and the float rows
 # of weyl_sum: the same ValueError for a NaN coordinate in each
 NAN_CALLS = {
     "star-1d": lambda: star_discrepancy_1d([0.25, float("nan"), 0.75]),

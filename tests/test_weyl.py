@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equidist.arithmetic import RationalSeed, SeedSampler
+from equidist.errors import StreamLengthError
 from equidist.generators import (
     GeneratorSpec,
     PhaseTable,
@@ -728,10 +729,13 @@ RAISES = {
                     "point dimension does not match"),
     "table-width": (lambda: weyl_sum(PhaseTable([np.zeros(3, np.uint64)] * 2), (1,)),
                     ValueError, "does not match the table's dimension 2"),
-    "no-points-list": (lambda: weyl_sum([], (1, 1)), ValueError, "no points"),
-    "no-points-array": (lambda: weyl_sum(np.zeros((0, 2)), (1, 1)), ValueError, "no points"),
+    "no-points-list": (lambda: weyl_sum([], (1, 1)), StreamLengthError, "no points"),
+    "no-points-array": (lambda: weyl_sum(np.zeros((0, 2)), (1, 1)), StreamLengthError,
+                        "no points"),
     "no-points-table": (lambda: weyl_sum(PhaseTable([np.zeros(0, np.uint64)]), (1,)),
-                        ValueError, "no points"),
+                        StreamLengthError, "no points"),
+    "no-points-checkpoints": (lambda: weyl_sum([], (1,), checkpoints=[1]), StreamLengthError,
+                              "no points"),
     "degenerate-weyl": (lambda: degenerate_m_weyl(0), ValueError, "p must be at least 1"),
     "degenerate-multiplicative": (lambda: degenerate_m_multiplicative(1), ValueError,
                                   "base must be at least 2"),
